@@ -31,14 +31,8 @@ from .errors import (
 )
 from .linalg import (
     ExactMatrix,
-    MERSENNE_PRIME_31,
-    RankProfile,
-    fast_rank_enabled,
     kernel_basis,
     rank,
-    rank_mod_p,
-    rank_profile,
-    set_fast_rank,
     solve_in_image,
 )
 from .homology import (

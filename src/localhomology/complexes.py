@@ -80,7 +80,7 @@ class SimplicialComplex:
         stored maximal set is an antichain.
         """
         intern: dict[Hashable, int] = {}
-        canonical: list[Simplex] = []
+        canonical: set[Simplex] = set()
         for raw in simplices:
             raw = list(raw)
             if not raw:
@@ -94,14 +94,19 @@ class SimplicialComplex:
             for label in ordered:
                 if label not in intern:
                     intern[label] = len(intern)
-            canonical.append(tuple(sorted(intern[label] for label in raw)))
-        survivors: list[Simplex] = []
+            canonical.add(tuple(sorted(intern[label] for label in raw)))
+        # A proper coface of s contains every vertex of s, so it suffices to
+        # look among the inputs containing s's rarest vertex.
+        containing: dict[int, list[frozenset[int]]] = {}
+        for t in canonical:
+            t_set = frozenset(t)
+            for v in t:
+                containing.setdefault(v, []).append(t_set)
+        survivors: set[Simplex] = set()
         for s in canonical:
-            s_set = set(s)
-            if any(s != t and s_set.issubset(t) for t in canonical):
-                continue
-            if s not in survivors:
-                survivors.append(s)
+            rarest = min(s, key=lambda v: len(containing[v]))
+            if not any(len(t) > len(s) and t.issuperset(s) for t in containing[rarest]):
+                survivors.add(s)
         labels = tuple(sorted(intern, key=intern.get))
         return cls(frozenset(survivors), labels)
 

@@ -216,10 +216,10 @@ def induced_map_matrix(
         raise PreconditionError("smaller open set must be contained in the larger one")
     if k < 0:
         raise ValueError("homology dimension must be non-negative")
-    src = homology_basis(complex, u)
-    tgt = homology_basis(complex, v)
     if k > complex.dim:
         return ExactMatrix.zeros(0, 0)
+    src = homology_basis(complex, u)
+    tgt = homology_basis(complex, v)
     src_reps = src.representatives[k]
     tgt_reps = tgt.representatives[k]
     tgt_rep_obj = _excised_chain_complex(complex, v)

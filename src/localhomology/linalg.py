@@ -1,34 +1,19 @@
-"""Exact linear algebra over the rationals, with a finite-field fast path.
+"""Exact linear algebra over the rationals.
 
 All Betti-number computations in this package reduce to ranks and kernels of
-sparse signed incidence matrices. Ranks are computed exactly with
-arbitrary-precision rational arithmetic, so no tolerance tuning is ever
-needed. An opt-in fast path computes ranks over GF(p) for the Mersenne prime
-p = 2^31 - 1; a modular rank can only undershoot the rational rank for
-integer matrices, so the fast path returns its answer only when it is
-certified by hitting the dimension bound and falls back to rational
-elimination otherwise.
+sparse signed incidence matrices. `rank` has one exact integer kernel: each
+column is scaled to integers by the lcm of its denominators, and the columns
+are reduced left to right by their lowest nonzero row, the standard
+boundary-matrix reduction, done fraction-free so every entry stays a Python
+`int`. Kernels and solutions, which must be rational vectors, come from a
+sparse rational row reduction. No tolerance tuning is ever needed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
-
-MERSENNE_PRIME_31 = 2**31 - 1
-
-_fast_rank = False
-
-
-def set_fast_rank(enabled: bool) -> None:
-    """Globally enable or disable the certified GF(p) rank fast path."""
-    global _fast_rank
-    _fast_rank = bool(enabled)
-
-
-def fast_rank_enabled() -> bool:
-    return _fast_rank
 
 
 class ExactMatrix:
@@ -119,9 +104,6 @@ class ExactMatrix:
             rows[i][j] = v
         return rows
 
-    def column(self, j: int) -> dict[int, Fraction]:
-        return {i: v for (i, jj), v in self.entries.items() if jj == j}
-
     def columns_as_vectors(self) -> list[tuple[Fraction, ...]]:
         dense = self.to_dense()
         return [tuple(dense[i][j] for i in range(self.rows)) for j in range(self.cols)]
@@ -169,13 +151,6 @@ class ExactMatrix:
         for (i, j), v in other.entries.items():
             entries[(i, j + self.cols)] = v
         return ExactMatrix(self.rows, self.cols + other.cols, entries)
-
-
-@dataclass(frozen=True)
-class RankProfile:
-    rank: int
-    nullity: int
-    kernel_basis: Optional[tuple[tuple[Fraction, ...], ...]] = None
 
 
 def _rref(
@@ -231,62 +206,54 @@ def _rref(
     return [done[idx] for idx in order], sorted(pivot_cols), active
 
 
-def rank(matrix: ExactMatrix, *, allow_modular: bool | None = None) -> int:
-    """Rank over the rationals.
+def rank(matrix: ExactMatrix) -> int:
+    """Rank over the rationals, by fraction-free column reduction over the integers.
 
-    With the fast path enabled, the GF(p) rank is computed first; it is
-    returned only when it matches min(rows, cols), which certifies equality
-    with the rational rank. Any other modular outcome falls back to exact
-    rational elimination.
+    Scaling a column by a nonzero integer keeps the rank, and so does
+    replacing column j by a*col_j - b*col_i when a, the pivot entry of
+    column i at j's lowest row, is nonzero. Reduced nonzero columns have
+    distinct lowest rows, so they are independent and their count is the rank.
     """
-    use_fast = _fast_rank if allow_modular is None else allow_modular
-    if use_fast and matrix.entries:
-        try:
-            modular = rank_mod_p(matrix)
-        except ValueError:
-            modular = None  # denominator divisible by p; modular image undefined
-        if modular == min(matrix.rows, matrix.cols):
-            return modular
-    _, pivots, _ = _rref(matrix.row_dicts(), matrix.cols)
+    columns: dict[int, dict[int, Fraction]] = {}
+    for (i, j), v in matrix.entries.items():
+        columns.setdefault(j, {})[i] = v
+    pivots: dict[int, dict[int, int]] = {}  # lowest row -> reduced column
+    for j in sorted(columns):
+        if len(pivots) == matrix.rows:
+            break  # every row is a pivot, so every later column reduces to zero
+        col = _integer_column(columns[j])
+        while col:
+            low = max(col)
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = col
+                break
+            a, b = pivot[low], col[low]
+            g = gcd(a, b) if a > 0 else -gcd(a, b)
+            a, b = a // g, b // g  # a > 0, and a == 1 whenever a divides b
+            if a != 1:
+                for i in col:
+                    col[i] *= a
+            for i, v in pivot.items():
+                s = col.get(i, 0) - b * v
+                if s:
+                    col[i] = s
+                else:
+                    del col[i]
+            if a != 1 and col:
+                g = gcd(*col.values())
+                if g != 1:
+                    for i in col:
+                        col[i] //= g
     return len(pivots)
 
 
-def rank_mod_p(matrix: ExactMatrix, p: int = MERSENNE_PRIME_31) -> int:
-    """Rank of the matrix reduced mod p (entries with denominators coprime to p)."""
-    rows: list[dict[int, int]] = [{} for _ in range(matrix.rows)]
-    for (i, j), v in matrix.entries.items():
-        num, den = v.numerator % p, v.denominator % p
-        if den == 0:
-            raise ValueError("denominator divisible by p")
-        val = num * pow(den, p - 2, p) % p
-        if val:
-            rows[i][j] = val
-    active = [r for r in rows if r]
-    count = 0
-    while active:
-        pivot_row = min(active, key=len)
-        active.remove(pivot_row)
-        pivot_col = min(pivot_row)
-        inv = pow(pivot_row[pivot_col], p - 2, p)
-        pivot_row = {j: v * inv % p for j, v in pivot_row.items()}
-        reduced = []
-        for r in active:
-            factor = r.get(pivot_col)
-            if factor:
-                new = dict(r)
-                for j, v in pivot_row.items():
-                    s = (new.get(j, 0) - factor * v) % p
-                    if s:
-                        new[j] = s
-                    else:
-                        new.pop(j, None)
-                if new:
-                    reduced.append(new)
-            else:
-                reduced.append(r)
-        active = reduced
-        count += 1
-    return count
+def _integer_column(column: dict[int, Fraction]) -> dict[int, int]:
+    """The column times the lcm of its entries' denominators."""
+    scale = lcm(*(v.denominator for v in column.values()))
+    if scale == 1:
+        return {i: v.numerator for i, v in column.items()}
+    return {i: v.numerator * (scale // v.denominator) for i, v in column.items()}
 
 
 def kernel_basis(matrix: ExactMatrix) -> list[tuple[Fraction, ...]]:
@@ -304,27 +271,6 @@ def kernel_basis(matrix: ExactMatrix) -> list[tuple[Fraction, ...]]:
                 vec[pcol] = -coeff
         basis.append(tuple(vec))
     return basis
-
-
-def rank_profile(matrix: ExactMatrix, *, with_kernel: bool = True) -> RankProfile:
-    reduced, pivots, _ = _rref(matrix.row_dicts(), matrix.cols)
-    r = len(pivots)
-    kern = None
-    if with_kernel:
-        pivot_set = set(pivots)
-        kern_list = []
-        for f in range(matrix.cols):
-            if f in pivot_set:
-                continue
-            vec = [Fraction(0)] * matrix.cols
-            vec[f] = Fraction(1)
-            for row, pcol in zip(reduced, pivots):
-                coeff = row.get(f)
-                if coeff:
-                    vec[pcol] = -coeff
-            kern_list.append(tuple(vec))
-        kern = tuple(kern_list)
-    return RankProfile(rank=r, nullity=matrix.cols - r, kernel_basis=kern)
 
 
 def solve_in_image(matrix: ExactMatrix, target: Sequence[object]) -> Optional[tuple[Fraction, ...]]:

@@ -12,7 +12,7 @@ from localhomology import (
     complex_to_json_dict,
 )
 
-from util import random_complex
+from util import naive_maximal, random_complex
 
 
 @pytest.fixture
@@ -49,6 +49,22 @@ def test_dominated_inputs_are_dropped(triangle):
     same = SimplicialComplex.from_maximal([["a", "b"], ["b", "c"], ["a", "b", "c"]])
     assert same.maximal == triangle.maximal
     assert len(same) == 7
+
+
+def test_from_maximal_matches_naive_antichain_filter():
+    rng = random.Random(41)
+    for _ in range(200):
+        labels = rng.sample(range(100), rng.randint(1, 9))
+        simplices = [rng.sample(labels, rng.randint(1, len(labels))) for _ in range(rng.randint(1, 12))]
+        for _ in range(rng.randint(0, 4)):
+            source = rng.choice(simplices)
+            # Duplicates in another vertex order, and faces of other inputs.
+            simplices.append(rng.sample(source, rng.randint(1, len(source))))
+        rng.shuffle(simplices)
+        x = SimplicialComplex.from_maximal(simplices)
+        stored = {frozenset(x.labels[v] for v in s) for s in x.maximal}
+        assert stored == naive_maximal(simplices)
+        assert len(x.maximal) == len(stored)
 
 
 def test_one_complex_on_k4_has_ten_faces(k4_graph_complex):

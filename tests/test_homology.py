@@ -26,6 +26,7 @@ from localhomology import (
 from util import (
     annulus_complex,
     graph_as_one_complex,
+    projective_plane,
     random_complex,
     random_connected_graph,
     random_open_set,
@@ -95,6 +96,17 @@ def test_relative_requires_closed_set():
 
 def test_sphere_betti():
     assert global_betti(tetrahedron_boundary()) == (1, 0, 1)
+
+
+def test_projective_plane_torsion_is_invisible_over_q():
+    x = projective_plane()
+    assert global_betti(x) == (1, 0, 0)
+    boundary = relative_chain_complex(x, x.empty_set()).boundaries[2]
+    assert boundary.shape == (15, 10)
+    # Each edge in exactly two triangles: the columns sum to 0 mod 2, so a
+    # characteristic-2 rank would be 9.
+    assert all(sum(1 for i, _ in boundary.entries if i == row) == 2 for row in range(15))
+    assert rank(boundary) == 10
 
 
 def test_single_vertex_betti():
@@ -252,6 +264,7 @@ def test_induced_map_identity():
     for k in range(3):
         expected = local_betti(x, u)[k]
         assert induced_map_rank(x, u, u, k) == expected
+    assert induced_map_matrix(x, u, u, 3).shape == (0, 0)
 
 
 def test_induced_map_zero_target():

@@ -5,24 +5,13 @@ import pytest
 
 from localhomology import (
     ExactMatrix,
-    MERSENNE_PRIME_31,
     kernel_basis,
     rank,
-    rank_mod_p,
-    rank_profile,
-    set_fast_rank,
     solve_in_image,
 )
 from localhomology.linalg import IncrementalRank
 
 from util import oracle_rank_dense, oracle_rank_minors
-
-
-@pytest.fixture(autouse=True)
-def rational_rank_default():
-    set_fast_rank(False)
-    yield
-    set_fast_rank(False)
 
 
 def random_matrix(rng, rows, cols, lo=-2, hi=2) -> ExactMatrix:
@@ -76,34 +65,43 @@ def test_rank_product_bound():
         assert rank(a @ b) <= min(rank(a), rank(b))
 
 
-def test_rank_mod_p_agrees_on_small_matrices():
+def test_rank_fraction_entries_with_dependent_columns():
+    # Column scaling by denominators must keep the rank; forced combinations
+    # of earlier columns must reduce to zero.
     rng = random.Random(17)
     for _ in range(40):
-        m = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
-        r_mod = rank_mod_p(m, MERSENNE_PRIME_31)
-        r_exact = rank(m)
-        assert r_mod <= r_exact
-        assert r_mod == r_exact  # small integer entries, minors below p
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        data = [
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        for j in range(1, cols):
+            if rng.random() < 0.5:
+                a = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                b = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                i1, i2 = rng.randrange(j), rng.randrange(j)
+                for row in data:
+                    row[j] = a * row[i1] + b * row[i2]
+        assert rank(ExactMatrix.from_rows(data)) == oracle_rank_dense(data)
 
 
-def test_fast_rank_path_matches_rational():
+def test_rank_integer_entries_with_non_unit_pivots():
+    # Entries up to 5 in size force pivots other than +-1, so the column
+    # scaling and gcd division both run.
     rng = random.Random(19)
-    mats = [random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7)) for _ in range(25)]
-    exact = [rank(m) for m in mats]
-    set_fast_rank(True)
-    assert [rank(m) for m in mats] == exact
+    for _ in range(25):
+        m = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), -5, 5)
+        assert rank(m) == oracle_rank_dense(m.to_dense())
 
 
-def test_fast_rank_handles_fractions():
+def test_rank_handles_fractions():
     m = ExactMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 6)]])
-    assert rank(m, allow_modular=True) == rank(m, allow_modular=False) == 1
+    assert rank(m) == 1
 
 
-def test_fast_rank_falls_back_when_denominator_hits_p():
-    bad = ExactMatrix.from_rows([[Fraction(1, MERSENNE_PRIME_31), 1], [0, 1]])
-    with pytest.raises(ValueError):
-        rank_mod_p(bad)
-    assert rank(bad, allow_modular=True) == 2
+def test_rank_with_large_prime_denominator():
+    m = ExactMatrix.from_rows([[Fraction(1, 2**31 - 1), 1], [0, 1]])
+    assert rank(m) == 2
 
 
 def test_kernel_identity_is_empty():
@@ -136,10 +134,10 @@ def test_kernel_vectors_always_in_kernel():
     rng = random.Random(23)
     for _ in range(25):
         m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        profile = rank_profile(m)
-        assert profile.rank + profile.nullity == m.cols
-        assert len(profile.kernel_basis) == profile.nullity
-        for vec in profile.kernel_basis:
+        basis = kernel_basis(m)
+        assert rank(m) + len(basis) == m.cols
+        assert rank(ExactMatrix.from_columns(basis, m.cols)) == len(basis)
+        for vec in basis:
             assert all(x == 0 for x in m.apply(vec))
 
 

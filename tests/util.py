@@ -140,7 +140,28 @@ def fan_disk(spokes: int = 6) -> SimplicialComplex:
     return SimplicialComplex.from_maximal(triangles)
 
 
+def projective_plane() -> SimplicialComplex:
+    """Six-vertex, ten-triangle real projective plane.
+
+    Every edge lies in exactly two triangles, so the ten triangle boundaries
+    sum to zero mod 2 but are independent over Q: H_2 vanishes over Q and
+    not over GF(2).
+    """
+    return SimplicialComplex.from_maximal(
+        [
+            [0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5], [0, 1, 5],
+            [1, 2, 4], [2, 3, 5], [1, 3, 4], [2, 4, 5], [1, 3, 5],
+        ]
+    )
+
+
 # -- independent oracles -----------------------------------------------------
+
+
+def naive_maximal(simplices) -> set[frozenset]:
+    """Inputs, as label sets, that are no proper subset of another input."""
+    sets = [frozenset(s) for s in simplices]
+    return {s for s in sets if not any(s < t for t in sets)}
 
 
 def oracle_rank_dense(rows) -> int:
