@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -107,26 +106,10 @@ def profile_many(
     simplices: Optional[Iterable[Simplex]] = None,
     m_max: int = 0,
     ambient_dim: Optional[int] = None,
-    threads: int = 1,
 ) -> list[LocalProfile]:
-    """Profiles for many simplices, in lexicographic simplex order.
-
-    Per-simplex jobs are independent; with threads > 1 they run on a worker
-    pool and are reassembled in input order, so the result does not depend
-    on the thread count.
-    """
-    if simplices is None:
-        targets = sorted(complex.all_faces())
-    else:
-        targets = sorted(simplices)
-
-    def job(s: Simplex) -> LocalProfile:
-        return local_profile(complex, s, m_max, ambient_dim)
-
-    if threads > 1 and len(targets) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(job, targets))
-    return [job(s) for s in targets]
+    """Profiles for many simplices, in lexicographic simplex order."""
+    targets = sorted(complex.all_faces() if simplices is None else simplices)
+    return [local_profile(complex, s, m_max, ambient_dim) for s in targets]
 
 
 def generalized_degree(complex: SimplicialComplex, simplex: Simplex) -> int:

@@ -3,8 +3,7 @@
 Subcommands cover the whole pipeline: global Betti numbers of a complex,
 per-simplex local-homology reports, stratification checks, flag-complex
 construction, correlation tables, dataset generation, and the bundled
-karate network. Outputs are byte-identical for identical inputs and seeds;
-`--threads` only changes how per-simplex work is scheduled.
+karate network. Outputs are byte-identical for identical inputs and seeds.
 
 Exit codes: 0 success, 1 malformed input, 2 precondition violation.
 """
@@ -13,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -33,16 +31,6 @@ from .stats import (
 EXIT_OK = 0
 EXIT_MALFORMED = 1
 EXIT_PRECONDITION = 2
-
-
-def _default_threads() -> int:
-    value = os.environ.get("LOCALHOMOLOGY_THREADS")
-    if value is None:
-        return 1
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,12 +60,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="restrict to one simplex, comma-separated vertex labels (default: all)",
     )
     p_local.add_argument("--csv", help="write the CSV report to this path instead of stdout")
-    p_local.add_argument("--threads", type=int, default=None, help="worker thread cap")
 
     p_strat = sub.add_parser("strat", help="homology-manifold check and ramification list")
     p_strat.add_argument("complex", help="path to a complex JSON file")
     p_strat.add_argument("--dim", type=int, required=True, help="expected manifold dimension")
-    p_strat.add_argument("--threads", type=int, default=None, help="worker thread cap")
 
     p_flag = sub.add_parser("flag", help="flag complex of a graph, as complex JSON")
     p_flag.add_argument("edges", help="path to an edge-list file")
@@ -88,7 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_corr.add_argument("--subject", choices=["vertex", "edge"], default="vertex")
     p_corr.add_argument("--m", default="0,1,2", help="comma list of neighborhood levels")
     p_corr.add_argument("--k", default="1,2", help="comma list of homology degrees")
-    p_corr.add_argument("--threads", type=int, default=None, help="worker thread cap")
     p_corr.add_argument(
         "--scatter-dir", help="also write per-cell x,y scatter CSV files to this directory"
     )
@@ -141,7 +126,7 @@ def _cmd_betti(args) -> int:
     return EXIT_OK
 
 
-def _cmd_local(args, threads: int) -> int:
+def _cmd_local(args) -> int:
     complex = load_complex(args.complex)
     if args.m < 0:
         raise MalformedInputError("--m must be non-negative")
@@ -149,7 +134,7 @@ def _cmd_local(args, threads: int) -> int:
     if args.simplex:
         labels = _parse_simplex_labels(args.simplex)
         targets = [complex.simplex_with_labels(labels)]
-    profiles = profile_many(complex, targets, m_max=args.m, threads=threads)
+    profiles = profile_many(complex, targets, m_max=args.m)
     text = profiles_to_csv(complex, profiles)
     if args.csv:
         Path(args.csv).write_text(text, encoding="utf-8")
@@ -158,12 +143,12 @@ def _cmd_local(args, threads: int) -> int:
     return EXIT_OK
 
 
-def _cmd_strat(args, threads: int) -> int:
+def _cmd_strat(args) -> int:
     complex = load_complex(args.complex)
     if args.dim < 0:
         raise MalformedInputError("--dim must be non-negative")
     interior = manifold_interior(args.dim)
-    profiles = profile_many(complex, m_max=0, ambient_dim=args.dim, threads=threads)
+    profiles = profile_many(complex, m_max=0, ambient_dim=args.dim)
     offenders = [p.simplex for p in profiles if p.classification != interior]
     print(
         json.dumps(
@@ -185,7 +170,7 @@ def _cmd_flag(args) -> int:
     return EXIT_OK
 
 
-def _cmd_correlate(args, threads: int) -> int:
+def _cmd_correlate(args) -> int:
     if (args.edges is None) == (args.dataset is None):
         raise MalformedInputError("give exactly one of an edge-list path or --dataset")
     graph = karate_graph() if args.dataset else read_edge_list(args.edges)
@@ -196,7 +181,6 @@ def _cmd_correlate(args, threads: int) -> int:
         subject=args.subject,
         m_max=max(levels),
         k_max=max(degrees),
-        threads=threads,
     )
     lines = ["invariant,beta_k,N_m,subject,rho"]
     for name in report.invariants:
@@ -246,18 +230,17 @@ def _cmd_dataset(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    threads = args.threads if getattr(args, "threads", None) else _default_threads()
     try:
         if args.command == "betti":
             return _cmd_betti(args)
         if args.command == "local":
-            return _cmd_local(args, threads)
+            return _cmd_local(args)
         if args.command == "strat":
-            return _cmd_strat(args, threads)
+            return _cmd_strat(args)
         if args.command == "flag":
             return _cmd_flag(args)
         if args.command == "correlate":
-            return _cmd_correlate(args, threads)
+            return _cmd_correlate(args)
         if args.command == "generate":
             return _cmd_generate(args)
         if args.command == "dataset":

@@ -53,12 +53,15 @@ def facets_with_signs(simplex: Simplex) -> list[tuple[int, Simplex]]:
 class SimplicialComplex:
     """Locally finite abstract simplicial complex stored by maximal simplices.
 
-    Instances are immutable after construction. The face and cofacet caches
-    populate lazily per dimension with immutable values, so concurrent
-    readers are safe: a racing recomputation produces the identical tuple.
+    Instances are immutable after construction. The face, cofacet and
+    per-vertex caches populate lazily with values never changed afterwards,
+    so concurrent readers are safe: a racing recomputation produces an
+    identical value.
     """
 
-    __slots__ = ("maximal", "labels", "dim", "_faces_by_dim", "_cofacets", "_face_set")
+    __slots__ = (
+        "maximal", "labels", "dim", "_faces_by_dim", "_cofacets", "_face_set", "_containing"
+    )
 
     def __init__(self, maximal: frozenset[Simplex], labels: tuple[Hashable, ...]):
         # Internal constructor; use from_maximal for label interning and
@@ -69,6 +72,7 @@ class SimplicialComplex:
         self._faces_by_dim: dict[int, tuple[Simplex, ...]] = {}
         self._cofacets: dict[int, dict[Simplex, tuple[Simplex, ...]]] = {}
         self._face_set: set[Simplex] | None = None
+        self._containing: dict[int, list[frozenset[int]]] | None = None
 
     @classmethod
     def from_maximal(cls, simplices: Iterable[Sequence[Hashable]]) -> "SimplicialComplex":
@@ -97,11 +101,7 @@ class SimplicialComplex:
             canonical.add(tuple(sorted(intern[label] for label in raw)))
         # A proper coface of s contains every vertex of s, so it suffices to
         # look among the inputs containing s's rarest vertex.
-        containing: dict[int, list[frozenset[int]]] = {}
-        for t in canonical:
-            t_set = frozenset(t)
-            for v in t:
-                containing.setdefault(v, []).append(t_set)
+        containing = _index_by_vertex(canonical)
         survivors: set[Simplex] = set()
         for s in canonical:
             rarest = min(s, key=lambda v: len(containing[v]))
@@ -143,10 +143,15 @@ class SimplicialComplex:
         return sum(len(self.faces(k)) for k in range(self.dim + 1))
 
     def __contains__(self, simplex) -> bool:
+        # Only the maximal simplices containing the rarest vertex can contain
+        # the simplex; its faces are never enumerated.
         if not isinstance(simplex, tuple) or not simplex:
             return False
-        s = set(simplex)
-        return any(s.issubset(m) for m in self.maximal)
+        if self._containing is None:
+            self._containing = _index_by_vertex(self.maximal)
+        s = frozenset(simplex)
+        candidates = min((self._containing.get(v, ()) for v in s), key=len)
+        return any(s <= m for m in candidates)
 
     def simplex_with_labels(self, labels: Iterable[Hashable]) -> Simplex:
         """Canonical simplex for a collection of original vertex labels."""
@@ -164,7 +169,9 @@ class SimplicialComplex:
 
     def cofacets(self, simplex: Simplex) -> tuple[Simplex, ...]:
         """Faces one dimension up that contain the given simplex."""
-        k = len(simplex) - 1
+        return self._cofacet_table(len(simplex) - 1).get(simplex, ())
+
+    def _cofacet_table(self, k: int) -> dict[Simplex, tuple[Simplex, ...]]:
         table = self._cofacets.get(k)
         if table is None:
             table = {}
@@ -174,7 +181,7 @@ class SimplicialComplex:
                     table.setdefault(face, []).append(up)
             table = {f: tuple(ups) for f, ups in table.items()}
             self._cofacets[k] = table
-        return table.get(simplex, ())
+        return table
 
     # -- simplex sets and topology operators ------------------------------
 
@@ -218,9 +225,31 @@ class SimplicialComplex:
         return SimplexSet(self, frozenset(seen))
 
     def closure(self, subset) -> "SimplexSet":
-        """Smallest closed set containing the subset (a subcomplex)."""
+        """Smallest closed set containing the subset (a subcomplex).
+
+        Two exact routes, chosen by the size of the input A against |X|:
+
+        - A is more than half of X: start from A and walk the faces of X
+          outside A from the top dimension down, adding a face when one of
+          its cofacets is already in the result. A proper coface of f
+          contains a cofacet of f, so this finds every face of cl A. Cost
+          O(|X minus A| * max cofacets) plus set copies of size |X|.
+        - Otherwise: enumerate the 2^|s| - 1 faces of every input simplex s.
+          Cost O(sum over s in A of 2^|s|).
+        """
         members = self._coerce(subset)
-        out: set[Simplex] = set()
+        face_set = self._all_faces_set()
+        if 2 * len(members) > len(face_set):
+            outside: list[list[Simplex]] = [[] for _ in range(self.dim + 1)]
+            for f in face_set - members:
+                outside[len(f) - 1].append(f)
+            out = set(members)
+            # Top-dimensional faces have no cofacets, so they never join.
+            for k in range(self.dim - 1, -1, -1):
+                table = self._cofacet_table(k)
+                out.update([f for f in outside[k] if not out.isdisjoint(table.get(f, ()))])
+            return SimplexSet(self, frozenset(out))
+        out = set()
         for s in members:
             for r in range(1, len(s) + 1):
                 out.update(combinations(s, r))
@@ -254,6 +283,16 @@ class SimplicialComplex:
             f"SimplicialComplex(n_vertices={self.n_vertices}, "
             f"dim={self.dim}, maximal={len(self.maximal)})"
         )
+
+
+def _index_by_vertex(simplices: Iterable[Simplex]) -> dict[int, list[frozenset[int]]]:
+    """Map each vertex to the simplices, as vertex sets, that contain it."""
+    containing: dict[int, list[frozenset[int]]] = {}
+    for t in simplices:
+        t_set = frozenset(t)
+        for v in t:
+            containing.setdefault(v, []).append(t_set)
+    return containing
 
 
 @dataclass(frozen=True)

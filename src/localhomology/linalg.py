@@ -104,9 +104,12 @@ class ExactMatrix:
             rows[i][j] = v
         return rows
 
-    def columns_as_vectors(self) -> list[tuple[Fraction, ...]]:
-        dense = self.to_dense()
-        return [tuple(dense[i][j] for i in range(self.rows)) for j in range(self.cols)]
+    def columns_as_vectors(self) -> list[tuple[Fraction | int, ...]]:
+        """Dense columns; absent entries are the int 0."""
+        columns = [[0] * self.rows for _ in range(self.cols)]
+        for (i, j), v in self.entries.items():
+            columns[j][i] = v
+        return [tuple(column) for column in columns]
 
     def to_dense(self) -> list[list[Fraction]]:
         out = [[Fraction(0)] * self.cols for _ in range(self.rows)]
@@ -311,14 +314,18 @@ class IncrementalRank:
         return len(self._rows)
 
     def add(self, vector: Iterable[object]) -> bool:
-        work = {i: Fraction(v) for i, v in enumerate(vector) if v}
+        work = {
+            i: v if isinstance(v, (int, Fraction)) else Fraction(v)
+            for i, v in enumerate(vector)
+            if v
+        }
         for row in self._rows:
             pivot = min(row)
             factor = work.get(pivot)
             if factor is None:
                 continue
             for j, v in row.items():
-                s = work.get(j, Fraction(0)) - factor * v
+                s = work.get(j, 0) - factor * v
                 if s:
                     work[j] = s
                 else:

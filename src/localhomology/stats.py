@@ -115,7 +115,6 @@ def correlation_table(
     subject: str = "vertex",
     m_max: int = 2,
     k_max: int = 2,
-    threads: int = 1,
 ) -> CorrelationReport:
     """Correlate invariants with local Betti numbers on the flag complex.
 
@@ -147,7 +146,7 @@ def correlation_table(
 
     # Both seed lists above are already in lexicographic order, which is the
     # order profile_many returns; the score rows rely on that alignment.
-    profiles = profile_many(complex, seeds, m_max=m_max, threads=threads)
+    profiles = profile_many(complex, seeds, m_max=m_max)
     degrees = tuple(range(1, k_max + 1))
     levels = tuple(range(m_max + 1))
     betti_columns: dict[tuple[int, int], tuple[int, ...]] = {}

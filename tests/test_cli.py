@@ -179,18 +179,10 @@ def test_local_csv_file_output(tetra_json, tmp_path, capsys):
     assert text.splitlines()[0].startswith("simplex;dim;m;")
 
 
-def test_threads_env_default(tetra_json, capsys, monkeypatch):
-    monkeypatch.setenv("LOCALHOMOLOGY_THREADS", "3")
-    code, with_env, _ = run(capsys, "local", tetra_json)
-    monkeypatch.delenv("LOCALHOMOLOGY_THREADS")
-    code, without_env, _ = run(capsys, "local", tetra_json)
-    assert with_env == without_env
-
-
 def test_strat_threads_output_stable(tetra_json, capsys):
-    code, one, _ = run(capsys, "strat", tetra_json, "--dim", "2", "--threads", "1")
-    code, four, _ = run(capsys, "strat", tetra_json, "--dim", "2", "--threads", "4")
-    assert one == four
+    code, one, _ = run(capsys, "strat", tetra_json, "--dim", "2")
+    code, two, _ = run(capsys, "strat", tetra_json, "--dim", "2")
+    assert one == two
 
 
 def test_dataset_karate(capsys):
@@ -230,10 +222,8 @@ def test_byte_identical_output_and_threads(tmp_path, capsys):
     edges = tmp_path / "edges.txt"
     edges.write_text("n=5\n0 1\n1 2\n0 2\n2 3\n3 4\n2 4\n", encoding="utf-8")
     runs = []
-    for threads in ("1", "4"):
-        code, out, _ = run(
-            capsys, "correlate", str(edges), "--m", "0,1", "--k", "1,2", "--threads", threads
-        )
+    for _ in range(2):
+        code, out, _ = run(capsys, "correlate", str(edges), "--m", "0,1", "--k", "1,2")
         assert code == 0
         runs.append(out)
     assert runs[0] == runs[1]

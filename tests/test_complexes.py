@@ -12,7 +12,7 @@ from localhomology import (
     complex_to_json_dict,
 )
 
-from util import naive_maximal, random_complex
+from util import naive_closure, naive_contains, naive_maximal, random_complex
 
 
 @pytest.fixture
@@ -188,6 +188,46 @@ def test_closure_idempotent_and_contains(triangle):
         assert subset.members <= st.members
         assert x.closure(cl).members == cl.members
         assert x.star(st).members == st.members
+
+
+def test_closure_and_frontier_match_naive_subset_enumeration():
+    # Arbitrary subsets, not only closed ones, on both sides of the switch
+    # between the two closure routes at 2|A| = |X|.
+    rng = random.Random(31)
+    routes = {"large": 0, "small": 0}
+    for _ in range(300):
+        x = random_complex(rng, n_vertices=rng.randint(1, 9), n_maximal=rng.randint(1, 7), max_size=6)
+        faces = sorted(x.all_faces())
+        density = rng.random()
+        chosen = [f for f in faces if rng.random() < density]
+        routes["large" if 2 * len(chosen) > len(faces) else "small"] += 1
+        for subset in (chosen, [], faces):
+            rest = set(faces) - set(subset)
+            assert x.closure(subset).members == naive_closure(subset)
+            assert x.frontier(subset).members == naive_closure(subset) & naive_closure(rest)
+    assert min(routes.values()) >= 50
+
+
+def test_closure_adds_face_whose_coface_but_no_cofacet_is_in_input():
+    x = SimplicialComplex.from_maximal([[0, 1, 2]])
+    subset = [(0, 1, 2), (1,), (2,), (1, 2)]
+    assert 2 * len(subset) > len(x)
+    assert not set(x.cofacets((0,))) & set(subset)
+    assert x.closure(subset).members == set(x.all_faces())
+
+
+def test_membership_matches_naive_scan():
+    rng = random.Random(32)
+    for _ in range(200):
+        x = random_complex(rng, n_vertices=rng.randint(1, 9), n_maximal=rng.randint(1, 7), max_size=6)
+        queries = list(x.all_faces())
+        for _ in range(30):
+            # Ids up to 11 include vertices the complex does not have.
+            size = rng.randint(1, 5)
+            queries.append(tuple(sorted(rng.sample(range(12), size))))
+        queries += [(), [0], 0, "0", None, frozenset({0}), (0, 0)]
+        for q in queries:
+            assert (q in x) == naive_contains(x, q), q
 
 
 def test_closure_of_edge(k4_graph_complex):

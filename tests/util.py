@@ -158,6 +158,22 @@ def projective_plane() -> SimplicialComplex:
 # -- independent oracles -----------------------------------------------------
 
 
+def naive_closure(members) -> frozenset:
+    """Every nonempty vertex subset of every member simplex."""
+    out = set()
+    for s in members:
+        for r in range(1, len(s) + 1):
+            out.update(combinations(s, r))
+    return frozenset(out)
+
+
+def naive_contains(complex: SimplicialComplex, simplex) -> bool:
+    """Membership by a scan of every maximal simplex."""
+    if not isinstance(simplex, tuple) or not simplex:
+        return False
+    return any(set(simplex) <= set(m) for m in complex.maximal)
+
+
 def naive_maximal(simplices) -> set[frozenset]:
     """Inputs, as label sets, that are no proper subset of another input."""
     sets = [frozenset(s) for s in simplices]
