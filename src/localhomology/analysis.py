@@ -26,10 +26,7 @@ def neighborhood(complex: SimplicialComplex, seed, m: int) -> SimplexSet:
     """m-th neighborhood of a seed set: star at level 0, then star of closure."""
     if m < 0:
         raise ValueError("neighborhood level must be non-negative")
-    current = complex.star(seed)
-    for _ in range(m):
-        current = complex.star(complex.closure(current))
-    return current
+    return neighborhood_filtration(complex, seed, m).levels[-1]
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 malformed input, 2 precondition violation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -176,28 +177,24 @@ def _cmd_correlate(args) -> int:
     graph = karate_graph() if args.dataset else read_edge_list(args.edges)
     levels = _parse_int_list(args.m, "neighborhood level")
     degrees = _parse_int_list(args.k, "homology degree")
+    if degrees[0] < 1:
+        raise MalformedInputError(f"bad homology degree list {args.k!r}: degrees start at 1")
     report = correlation_table(
         graph,
         subject=args.subject,
         m_max=max(levels),
         k_max=max(degrees),
     )
-    lines = ["invariant,beta_k,N_m,subject,rho"]
-    for name in report.invariants:
-        for k in degrees:
-            for m in levels:
-                rho = report.cell(name, k, m)
-                cell = "" if rho is None else f"{rho:.6f}"
-                lines.append(f"{name},{k},{m},{report.subject},{cell}")
-    sys.stdout.write("\n".join(lines) + "\n")
+    report = dataclasses.replace(report, degrees=tuple(degrees), levels=tuple(levels))
+    sys.stdout.write(report.to_csv())
     for note in report.notes:
         print(f"note: {note}", file=sys.stderr)
     if args.scatter_dir:
         out_dir = Path(args.scatter_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         for name in report.invariants:
-            for k in degrees:
-                for m in levels:
+            for k in report.degrees:
+                for m in report.levels:
                     path = out_dir / f"scatter_{name}_beta{k}_N{m}.csv"
                     path.write_text(report.scatter_csv(name, k, m), encoding="utf-8")
     return EXIT_OK

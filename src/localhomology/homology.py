@@ -159,12 +159,12 @@ class HomologyBasis:
     """Cycle representatives spanning each local homology space.
 
     chain_bases[k] lists the k-simplices of the open set in the coordinate
-    order used by representatives[k]; each representative is a relative
-    cycle and the representatives are independent modulo boundaries.
+    order used by representatives[k]; each representative is an integer
+    relative cycle and the representatives are independent modulo boundaries.
     """
 
     chain_bases: tuple[tuple[Simplex, ...], ...]
-    representatives: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    representatives: tuple[tuple[tuple[int, ...], ...], ...]
 
     def betti(self) -> BettiVector:
         return tuple(len(reps) for reps in self.representatives)
@@ -188,9 +188,9 @@ def homology_basis(complex: SimplicialComplex, open_set) -> HomologyBasis:
 
 
 def _restrict_vector(
-    vector: Sequence[Fraction], source_basis: Sequence[Simplex], target_index: dict
-) -> list[Fraction]:
-    out = [Fraction(0)] * len(target_index)
+    vector: Sequence[int], source_basis: Sequence[Simplex], target_index: dict
+) -> list[int]:
+    out = [0] * len(target_index)
     for coeff, simplex in zip(vector, source_basis):
         if coeff:
             pos = target_index.get(simplex)
@@ -226,7 +226,7 @@ def induced_map_matrix(
     tgt_index = {s: i for i, s in enumerate(tgt.chain_bases[k])}
     n_tgt_chains = len(tgt.chain_bases[k])
 
-    columns: list[Sequence[Fraction]] = [list(r) for r in tgt_reps]
+    columns: list[Sequence[Fraction | int]] = [list(r) for r in tgt_reps]
     n_hom = len(columns)
     if k + 1 < len(tgt_rep_obj.bases):
         columns.extend(tgt_rep_obj.boundaries[k + 1].columns_as_vectors())

@@ -1,12 +1,14 @@
 """Exact linear algebra over the rationals.
 
-All Betti-number computations in this package reduce to ranks and kernels of
-sparse signed incidence matrices. `rank` has one exact integer kernel: each
-column is scaled to integers by the lcm of its denominators, and the columns
-are reduced left to right by their lowest nonzero row, the standard
-boundary-matrix reduction, done fraction-free so every entry stays a Python
-`int`. Kernels and solutions, which must be rational vectors, come from a
-sparse rational row reduction. No tolerance tuning is ever needed.
+All Betti-number computations in this package reduce to ranks, kernels and
+solves on sparse signed incidence matrices. They share one exact
+elimination loop, `_reduce`: each column is scaled to integers by the lcm of
+its denominators, and the columns are reduced left to right by their lowest
+nonzero row, the standard boundary-matrix reduction, done fraction-free so
+every entry stays a Python `int`. For kernels and solves each column also
+carries tags that record the column operations applied to it (R = D V);
+a column whose rows all cancel leaves a kernel vector, or a solution, in
+its tags. No tolerance tuning is ever needed.
 """
 
 from __future__ import annotations
@@ -98,12 +100,6 @@ class ExactMatrix:
             self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()}
         )
 
-    def row_dicts(self) -> list[dict[int, Fraction]]:
-        rows: list[dict[int, Fraction]] = [{} for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
-
     def columns_as_vectors(self) -> list[tuple[Fraction | int, ...]]:
         """Dense columns; absent entries are the int 0."""
         columns = [[0] * self.rows for _ in range(self.cols)]
@@ -156,57 +152,89 @@ class ExactMatrix:
         return ExactMatrix(self.rows, self.cols + other.cols, entries)
 
 
-def _rref(
-    rows: list[dict[int, Fraction]], ncols: int, pivot_limit: int | None = None
-) -> tuple[list[dict[int, Fraction]], list[int], list[dict[int, Fraction]]]:
-    """Reduced row echelon form of sparse rational rows.
+def _columns(matrix: ExactMatrix) -> dict[int, dict[int, Fraction]]:
+    """The nonzero columns of the matrix, keyed by column index."""
+    columns: dict[int, dict[int, Fraction]] = {}
+    for (i, j), v in matrix.entries.items():
+        columns.setdefault(j, {})[i] = v
+    return columns
 
-    Pivot columns are chosen by a minimal-fill heuristic: among eligible
-    columns with support in the active rows, pick the one with fewest
-    nonzeros, then the sparsest row within it. Columns at or beyond
-    `pivot_limit` are never pivoted (used for augmented right-hand sides).
-    Returns the pivot rows (pivot normalized to 1, column cleared), the
-    ordered pivot columns, and any residue rows whose support lies entirely
-    beyond the pivot limit.
+
+def _sparse(vector: Iterable[object]) -> dict[int, Fraction | int]:
+    """Nonzero entries by position; int and Fraction entries are kept as they are."""
+    return {
+        i: v if isinstance(v, (int, Fraction)) else Fraction(v) for i, v in enumerate(vector) if v
+    }
+
+
+def _integer_column(column: Mapping[int, Fraction | int], tag: int | None = None) -> dict[int, int]:
+    """The column times the lcm of its entries' denominators.
+
+    With a tag key, the column also records that scale at the tag, so a
+    tagged column always holds the coefficients that produce it.
     """
-    limit = ncols if pivot_limit is None else pivot_limit
-    active = [dict(r) for r in rows if r]
-    done: list[dict[int, Fraction]] = []
-    pivot_cols: list[int] = []
-    while True:
-        col_count: dict[int, int] = {}
-        for r in active:
-            for j in r:
-                if j < limit:
-                    col_count[j] = col_count.get(j, 0) + 1
-        if not col_count:
-            break
-        pivot_col = min(col_count, key=lambda j: (col_count[j], j))
-        pivot_row = min(
-            (r for r in active if pivot_col in r), key=lambda r: (len(r), min(r))
-        )
-        active.remove(pivot_row)
-        inv = Fraction(1) / pivot_row[pivot_col]
-        if inv != 1:
-            pivot_row = {j: v * inv for j, v in pivot_row.items()}
-        for bucket in (active, done):
-            for idx, r in enumerate(bucket):
-                factor = r.get(pivot_col)
-                if factor is None:
-                    continue
-                new = dict(r)
-                for j, v in pivot_row.items():
-                    s = new.get(j, Fraction(0)) - factor * v
-                    if s:
-                        new[j] = s
-                    else:
-                        new.pop(j, None)
-                bucket[idx] = new
-        active = [r for r in active if r]
-        done.append(pivot_row)
-        pivot_cols.append(pivot_col)
-    order = sorted(range(len(pivot_cols)), key=lambda idx: pivot_cols[idx])
-    return [done[idx] for idx in order], sorted(pivot_cols), active
+    scale = lcm(*(v.denominator for v in column.values()))
+    if scale == 1:
+        out = {i: v.numerator for i, v in column.items()}
+    else:
+        out = {i: v.numerator * (scale // v.denominator) for i, v in column.items()}
+    if tag is not None:
+        out[tag] = scale
+    return out
+
+
+def _reduce(col: dict[int, int], pivots: dict[int, dict[int, int]]) -> bool:
+    """Reduce an integer column in place; True when it becomes a new pivot.
+
+    `pivots` maps each lowest row to its reduced column. While the lowest
+    row of `col` belongs to a pivot, col is replaced by a*col - b*pivot
+    (a, b divided by their gcd, a > 0), and after a step with a != 1 by
+    itself divided by the gcd of its entries. Keys below zero are tags, not
+    rows: they ride along with every step, so a column whose rows all
+    cancel is left holding only tags and the reduction stops there.
+    """
+    while col:
+        low = max(col)
+        pivot = pivots.get(low)
+        if pivot is None:
+            if low < 0:
+                return False  # every row cancelled; only tags are left
+            pivots[low] = col
+            return True
+        a, b = pivot[low], col[low]
+        g = gcd(a, b) if a > 0 else -gcd(a, b)
+        a, b = a // g, b // g  # a > 0, and a == 1 whenever a divides b
+        if a != 1:
+            for i in col:
+                col[i] *= a
+        for i, v in pivot.items():
+            s = col.get(i, 0) - b * v
+            if s:
+                col[i] = s
+            else:
+                del col[i]
+        if a != 1 and col:
+            g = gcd(*col.values())
+            if g != 1:
+                for i in col:
+                    col[i] //= g
+    return False
+
+
+def _tagged_reduction(matrix: ExactMatrix) -> tuple[dict[int, dict[int, int]], list[dict[int, int]]]:
+    """Reduce every column j, tagged at key -1-j, left to right.
+
+    Returns the pivots and what is left of each column whose rows all
+    cancel: its tags, the coefficients of a kernel vector.
+    """
+    columns = _columns(matrix)
+    pivots: dict[int, dict[int, int]] = {}
+    cancelled = []
+    for j in range(matrix.cols):
+        col = _integer_column(columns.get(j, {}), -1 - j)
+        if not _reduce(col, pivots):
+            cancelled.append(col)
+    return pivots, cancelled
 
 
 def rank(matrix: ExactMatrix) -> int:
@@ -217,61 +245,27 @@ def rank(matrix: ExactMatrix) -> int:
     column i at j's lowest row, is nonzero. Reduced nonzero columns have
     distinct lowest rows, so they are independent and their count is the rank.
     """
-    columns: dict[int, dict[int, Fraction]] = {}
-    for (i, j), v in matrix.entries.items():
-        columns.setdefault(j, {})[i] = v
-    pivots: dict[int, dict[int, int]] = {}  # lowest row -> reduced column
+    columns = _columns(matrix)
+    pivots: dict[int, dict[int, int]] = {}
     for j in sorted(columns):
         if len(pivots) == matrix.rows:
             break  # every row is a pivot, so every later column reduces to zero
-        col = _integer_column(columns[j])
-        while col:
-            low = max(col)
-            pivot = pivots.get(low)
-            if pivot is None:
-                pivots[low] = col
-                break
-            a, b = pivot[low], col[low]
-            g = gcd(a, b) if a > 0 else -gcd(a, b)
-            a, b = a // g, b // g  # a > 0, and a == 1 whenever a divides b
-            if a != 1:
-                for i in col:
-                    col[i] *= a
-            for i, v in pivot.items():
-                s = col.get(i, 0) - b * v
-                if s:
-                    col[i] = s
-                else:
-                    del col[i]
-            if a != 1 and col:
-                g = gcd(*col.values())
-                if g != 1:
-                    for i in col:
-                        col[i] //= g
+        _reduce(_integer_column(columns[j]), pivots)
     return len(pivots)
 
 
-def _integer_column(column: dict[int, Fraction]) -> dict[int, int]:
-    """The column times the lcm of its entries' denominators."""
-    scale = lcm(*(v.denominator for v in column.values()))
-    if scale == 1:
-        return {i: v.numerator for i, v in column.items()}
-    return {i: v.numerator * (scale // v.denominator) for i, v in column.items()}
+def kernel_basis(matrix: ExactMatrix) -> list[tuple[int, ...]]:
+    """Basis of the right null space, one primitive integer vector per non-pivot column.
 
-
-def kernel_basis(matrix: ExactMatrix) -> list[tuple[Fraction, ...]]:
-    """Basis of the right null space, one vector per free column."""
-    reduced, pivots, _ = _rref(matrix.row_dicts(), matrix.cols)
-    pivot_set = set(pivots)
-    free_cols = [j for j in range(matrix.cols) if j not in pivot_set]
+    The vector of column j is nonzero at j, positive there, and otherwise
+    supported on pivot columns left of j, so the vectors are independent.
+    """
     basis = []
-    for f in free_cols:
-        vec = [Fraction(0)] * matrix.cols
-        vec[f] = Fraction(1)
-        for row, pcol in zip(reduced, pivots):
-            coeff = row.get(f)
-            if coeff:
-                vec[pcol] = -coeff
+    for tags in _tagged_reduction(matrix)[1]:
+        g = gcd(*tags.values())
+        vec = [0] * matrix.cols
+        for tag, v in tags.items():
+            vec[-1 - tag] = v // g
         basis.append(tuple(vec))
     return basis
 
@@ -279,22 +273,19 @@ def kernel_basis(matrix: ExactMatrix) -> list[tuple[Fraction, ...]]:
 def solve_in_image(matrix: ExactMatrix, target: Sequence[object]) -> Optional[tuple[Fraction, ...]]:
     """Some x with matrix @ x = target, or None when target is outside the image.
 
-    Free variables are set to zero, so the returned solution is deterministic.
+    x is supported on the pivot columns, those independent of the columns
+    left of them, so the returned solution is deterministic.
     """
     if len(target) != matrix.rows:
         raise ValueError("target length does not match row count")
-    aug_col = matrix.cols
-    rows = matrix.row_dicts()
-    for i, value in enumerate(target):
-        q = Fraction(value)
-        if q:
-            rows[i][aug_col] = q
-    reduced, pivots, residue = _rref(rows, aug_col + 1, pivot_limit=aug_col)
-    if residue:
+    n = matrix.cols
+    col = _integer_column(_sparse(target), -1 - n)
+    if _reduce(col, _tagged_reduction(matrix)[0]):
         return None
-    x = [Fraction(0)] * matrix.cols
-    for row, pcol in zip(reduced, pivots):
-        x[pcol] = row.get(aug_col, Fraction(0))
+    own = col.pop(-1 - n)  # the rows cancel: matrix @ tags + own * target = 0
+    x = [Fraction(0)] * n
+    for tag, v in col.items():
+        x[-1 - tag] = Fraction(-v, own)
     return tuple(x)
 
 
@@ -307,32 +298,11 @@ class IncrementalRank:
 
     def __init__(self, length: int):
         self.length = length
-        self._rows: list[dict[int, Fraction]] = []  # echelon rows, pivot first
+        self._pivots: dict[int, dict[int, int]] = {}  # lowest row -> reduced column
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return len(self._pivots)
 
     def add(self, vector: Iterable[object]) -> bool:
-        work = {
-            i: v if isinstance(v, (int, Fraction)) else Fraction(v)
-            for i, v in enumerate(vector)
-            if v
-        }
-        for row in self._rows:
-            pivot = min(row)
-            factor = work.get(pivot)
-            if factor is None:
-                continue
-            for j, v in row.items():
-                s = work.get(j, 0) - factor * v
-                if s:
-                    work[j] = s
-                else:
-                    work.pop(j, None)
-        if not work:
-            return False
-        pivot = min(work)
-        inv = Fraction(1) / work[pivot]
-        self._rows.append({j: v * inv for j, v in work.items()})
-        return True
+        return _reduce(_integer_column(_sparse(vector)), self._pivots)

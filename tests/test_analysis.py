@@ -110,7 +110,7 @@ def test_unknown_simplex_profile(five_path):
         local_profile(five_path, (9,), 0)
 
 
-def test_profile_many_matches_threads(five_path):
+def test_profile_many_identical_across_runs(five_path):
     first = profile_many(five_path, m_max=1)
     second = profile_many(five_path, m_max=1)
     assert first == second

@@ -118,6 +118,14 @@ def test_correlate_needs_exactly_one_source(capsys):
     assert code == 1
 
 
+def test_correlate_rejects_degree_zero(capsys):
+    # The table has homology degrees 1..k only; degree 0 is malformed input.
+    code, out, err = run(capsys, "correlate", "--dataset", "karate", "--k", "0,1", "--m", "0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_correlate_scatter_files(tmp_path, capsys):
     scatter = tmp_path / "scatter"
     code, _, _ = run(
@@ -179,7 +187,7 @@ def test_local_csv_file_output(tetra_json, tmp_path, capsys):
     assert text.splitlines()[0].startswith("simplex;dim;m;")
 
 
-def test_strat_threads_output_stable(tetra_json, capsys):
+def test_strat_output_identical_across_runs(tetra_json, capsys):
     code, one, _ = run(capsys, "strat", tetra_json, "--dim", "2")
     code, two, _ = run(capsys, "strat", tetra_json, "--dim", "2")
     assert one == two
@@ -218,7 +226,7 @@ def test_exit_code_disconnected_correlate(tmp_path, capsys):
     assert code == 2
 
 
-def test_byte_identical_output_and_threads(tmp_path, capsys):
+def test_correlate_output_byte_identical_across_runs(tmp_path, capsys):
     edges = tmp_path / "edges.txt"
     edges.write_text("n=5\n0 1\n1 2\n0 2\n2 3\n3 4\n2 4\n", encoding="utf-8")
     runs = []

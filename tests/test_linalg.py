@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -130,15 +131,29 @@ def test_kernel_of_circle_boundary():
     assert all(x != 0 for x in cycle)
 
 
+def random_fraction_matrix(rng, rows, cols) -> ExactMatrix:
+    return ExactMatrix.from_rows(
+        [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(cols)] for _ in range(rows)]
+    )
+
+
 def test_kernel_vectors_always_in_kernel():
+    # Entries in +-2, entries in +-5 (non-unit pivots) and Fraction entries.
     rng = random.Random(23)
-    for _ in range(25):
-        m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        basis = kernel_basis(m)
-        assert rank(m) + len(basis) == m.cols
-        assert rank(ExactMatrix.from_columns(basis, m.cols)) == len(basis)
-        for vec in basis:
-            assert all(x == 0 for x in m.apply(vec))
+    draws = [
+        lambda r, c: random_matrix(rng, r, c),
+        lambda r, c: random_matrix(rng, r, c, -5, 5),
+        lambda r, c: random_fraction_matrix(rng, r, c),
+    ]
+    for draw in draws:
+        for _ in range(25):
+            m = draw(rng.randint(1, 6), rng.randint(1, 7))
+            basis = kernel_basis(m)
+            assert rank(m) + len(basis) == m.cols
+            assert rank(ExactMatrix.from_columns(basis, m.cols)) == len(basis)
+            for vec in basis:
+                assert all(type(x) is int for x in vec) and gcd(*vec) == 1
+                assert all(x == 0 for x in m.apply(vec))
 
 
 def test_solve_identity():
@@ -152,14 +167,22 @@ def test_solve_zero_matrix_inconsistent():
 
 
 def test_solve_random_consistent_systems():
+    # Targets in the image and arbitrary targets; None exactly when the
+    # target raises the rank.
     rng = random.Random(29)
-    for _ in range(30):
+    outcomes = {True: 0, False: 0}
+    for _ in range(60):
         m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
         x0 = [rng.randint(-3, 3) for _ in range(m.cols)]
-        b = m.apply(x0)
-        x = solve_in_image(m, b)
-        assert x is not None
-        assert m.apply(x) == b
+        for b in (m.apply(x0), [rng.randint(-3, 3) for _ in range(m.rows)]):
+            x = solve_in_image(m, b)
+            augmented = [row + [b[i]] for i, row in enumerate(m.to_dense())]
+            outside = oracle_rank_dense(augmented) > oracle_rank_dense(m.to_dense())
+            assert (x is None) == outside
+            if x is not None:
+                assert m.apply(x) == tuple(b)
+            outcomes[outside] += 1
+    assert min(outcomes.values()) >= 10
 
 
 def test_matmul_and_apply_agree():
@@ -181,3 +204,20 @@ def test_incremental_rank():
     assert inc.add([0, 0, 5])
     assert not inc.add([3, 7, 1])
     assert inc.rank == 3
+    # Seeded sequences, half of them combinations of accepted vectors.
+    rng = random.Random(37)
+    for _ in range(20):
+        length = rng.randint(1, 6)
+        inc = IncrementalRank(length)
+        accepted = []
+        for _ in range(10):
+            if accepted and rng.random() < 0.5:
+                coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in accepted]
+                vec = [sum(c * v[i] for c, v in zip(coeffs, accepted)) for i in range(length)]
+            else:
+                vec = [rng.choice([0, 0, 1, -1, 2, Fraction(1, 2)]) for _ in range(length)]
+            grows = oracle_rank_dense(accepted + [vec]) > len(accepted)
+            assert inc.add(vec) == grows
+            if grows:
+                accepted.append(vec)
+        assert inc.rank == len(accepted)

@@ -190,7 +190,7 @@ def test_scatter_csv():
     assert len(lines) == 1 + g.n
 
 
-def test_threads_do_not_change_table():
+def test_correlation_table_identical_across_runs():
     g = karate_graph()
     first = correlation_table(g, m_max=1, k_max=2)
     second = correlation_table(g, m_max=1, k_max=2)
