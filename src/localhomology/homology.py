@@ -12,7 +12,6 @@ must produce the same Betti numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .complexes import Simplex, SimplexSet, SimplicialComplex, facets_with_signs
@@ -59,13 +58,13 @@ def _build_chain_complex(
         if k == 0:
             boundaries.append(ExactMatrix.zeros(0, len(level)))
             continue
-        entries: dict[tuple[int, int], Fraction] = {}
+        entries: dict[tuple[int, int], int] = {}
         lower = index[k - 1]
         for col, simplex in enumerate(level):
             for sign, face in facets_with_signs(simplex):
                 if face in dropped:
                     continue
-                entries[(lower[face], col)] = Fraction(sign)
+                entries[(lower[face], col)] = sign
         boundaries.append(ExactMatrix(len(bases[k - 1]), len(level), entries))
     return ChainComplexRep(bases=bases, boundaries=tuple(boundaries))
 
@@ -226,7 +225,7 @@ def induced_map_matrix(
     tgt_index = {s: i for i, s in enumerate(tgt.chain_bases[k])}
     n_tgt_chains = len(tgt.chain_bases[k])
 
-    columns: list[Sequence[Fraction | int]] = [list(r) for r in tgt_reps]
+    columns: list[Sequence[object]] = [list(r) for r in tgt_reps]
     n_hom = len(columns)
     if k + 1 < len(tgt_rep_obj.bases):
         columns.extend(tgt_rep_obj.boundaries[k + 1].columns_as_vectors())

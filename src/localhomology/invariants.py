@@ -7,6 +7,11 @@ formulation (unit current injected per source-sink pair, endpoints counted
 with throughput one, averaged over all pairs). Pearson correlation is
 invariant under positive affine rescaling, so these choices do not affect
 any correlation table.
+
+Betweenness accumulates Brandes' dependencies as integers (Brandes, "A faster
+algorithm for betweenness centrality", J. Math. Sociol. 2001); random-walk
+betweenness sums edge currents over all pairs from sorted potentials (Brandes &
+Fleischer, "Centrality measures based on current flow", STACS 2005).
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -84,7 +90,11 @@ def closeness_centrality(graph: Graph) -> VertexScores:
 
 
 def _brandes_pass(graph: Graph, source: int):
-    """Single-source shortest-path counts and dependency order."""
+    """BFS order, path counts sigma, predecessors and integer dependencies from one source.
+
+    With P the lcm of the nonzero sigma, acc[v] = P * delta[v] / sigma[v] sums c[w] =
+    P // sigma[w] + acc[w] over the successors w of v; edge (v, w) carries sigma[v] * c[w] / P.
+    """
     sigma = [0] * graph.n
     dist = [-1] * graph.n
     preds: list[list[int]] = [[] for _ in range(graph.n)]
@@ -102,72 +112,71 @@ def _brandes_pass(graph: Graph, source: int):
             if dist[w] == dist[u] + 1:
                 sigma[w] += sigma[u]
                 preds[w].append(u)
-    return order, sigma, preds
+    scale = lcm(*(sigma[w] for w in order))
+    acc = [0] * graph.n
+    for w in reversed(order):
+        c = scale // sigma[w] + acc[w]
+        for v in preds[w]:
+            acc[v] += c
+    return order, sigma, preds, scale, acc
 
 
 def betweenness_vertex(graph: Graph) -> VertexScores:
     """Brandes shortest-path betweenness, endpoints excluded, unordered pairs.
 
-    Dependencies accumulate as exact rationals; scores become floats only on
-    output.
+    Dependencies accumulate as integers, one exact rational per (source,
+    vertex); scores become floats only on output.
     """
     scores = [Fraction(0)] * graph.n
     for source in range(graph.n):
-        order, sigma, preds = _brandes_pass(graph, source)
-        delta = [Fraction(0)] * graph.n
-        for w in reversed(order):
-            for v in preds[w]:
-                delta[v] += Fraction(sigma[v], sigma[w]) * (1 + delta[w])
-            if w != source:
-                scores[w] += delta[w]
+        order, sigma, _, scale, acc = _brandes_pass(graph, source)
+        for w in order:
+            if acc[w] and w != source:
+                scores[w] += Fraction(sigma[w] * acc[w], scale)
     return VertexScores("betweenness_vertex", tuple(float(s / 2) for s in scores))
 
 
 def betweenness_edge(graph: Graph) -> EdgeScores:
+    """Edge form of `betweenness_vertex`: each (source, edge) adds one exact rational."""
     values = {edge: Fraction(0) for edge in graph.edges}
     for source in range(graph.n):
-        order, sigma, preds = _brandes_pass(graph, source)
-        delta = [Fraction(0)] * graph.n
-        for w in reversed(order):
+        order, sigma, preds, scale, acc = _brandes_pass(graph, source)
+        for w in order:
+            c = scale // sigma[w] + acc[w]
             for v in preds[w]:
-                contribution = Fraction(sigma[v], sigma[w]) * (1 + delta[w])
-                key = (v, w) if v < w else (w, v)
-                values[key] += contribution
-                delta[v] += contribution
+                values[(v, w) if v < w else (w, v)] += Fraction(sigma[v] * c, scale)
     return EdgeScores("betweenness_edge", {e: float(s / 2) for e, s in values.items()})
 
 
 def random_walk_betweenness(graph: Graph) -> VertexScores:
-    """Current-flow betweenness from a grounded-Laplacian solve.
+    """Current-flow betweenness from a grounded-Laplacian inverse.
 
     For every source-sink pair a unit current is injected and extracted; the
     throughput of an interior vertex is half the absolute current over its
     incident edges, endpoints count as one, and scores are averaged over all
-    unordered pairs.
+    unordered pairs. Edge (u, v) carries b_s - b_t for the pair (s, t), with
+    b = C[u] - C[v] from the grounded inverse C, so its absolute current over
+    all pairs is sorted b dotted with 2i - n + 1. At an endpoint the potential
+    is extremal and this counts 1/2, so every vertex also gets (n - 1)/2.
     """
     n = graph.n
     if n <= 1:
         raise PreconditionError("random-walk betweenness needs at least two vertices")
     if not graph.is_connected():
         raise DisconnectedGraphError("random-walk betweenness requires a connected graph")
-    adjacency = np.zeros((n, n))
-    for u, v in graph.edges:
-        adjacency[u, v] = adjacency[v, u] = 1.0
-    laplacian = np.diag(adjacency.sum(axis=1)) - adjacency
+    tails, heads = np.array(graph.edges).T
+    laplacian = np.zeros((n, n))
+    laplacian[tails, heads] = laplacian[heads, tails] = -1.0
+    laplacian[np.diag_indices(n)] = -laplacian.sum(axis=1)
     # Ground the last vertex; potentials of the rest come from the inverse.
     inverse = np.zeros((n, n))
     inverse[:-1, :-1] = np.linalg.inv(laplacian[:-1, :-1])
-    totals = np.zeros(n)
-    for s in range(n):
-        for t in range(s + 1, n):
-            potentials = inverse[:, s] - inverse[:, t]
-            diffs = np.abs(potentials[:, None] - potentials[None, :]) * adjacency
-            throughput = 0.5 * diffs.sum(axis=1)
-            throughput[s] = 1.0
-            throughput[t] = 1.0
-            totals += throughput
-    pair_count = n * (n - 1) / 2.0
-    return VertexScores("random_walk_betweenness", tuple(totals / pair_count))
+    edge_sums = np.sort(inverse[tails] - inverse[heads], axis=1) @ (2.0 * np.arange(n) - n + 1)
+    sums = np.zeros(n)
+    np.add.at(sums, tails, edge_sums)
+    np.add.at(sums, heads, edge_sums)
+    # Half of sums plus (n-1)/2 for the endpoints, over n(n-1)/2 pairs.
+    return VertexScores("random_walk_betweenness", tuple((sums + n - 1) / (n * (n - 1))))
 
 
 def maximal_clique_count(graph: Graph) -> VertexScores:

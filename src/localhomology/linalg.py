@@ -21,8 +21,9 @@ from typing import Iterable, Mapping, Optional, Sequence
 class ExactMatrix:
     """Sparse matrix with exact rational entries.
 
-    Entries are stored as a mapping (row, col) -> Fraction with zeros
-    omitted. Instances are treated as immutable once constructed.
+    Entries map (row, col) -> int or Fraction with zeros omitted: int values
+    stay int, others become Fraction, and since Fraction(1) == 1 with equal
+    hashes, equality and hashing ignore which. Immutable once constructed.
     """
 
     __slots__ = ("rows", "cols", "entries")
@@ -32,37 +33,28 @@ class ExactMatrix:
             raise ValueError("matrix dimensions must be non-negative")
         self.rows = rows
         self.cols = cols
-        clean: dict[tuple[int, int], Fraction] = {}
+        clean: dict[tuple[int, int], Fraction | int] = {}
         for (i, j), value in (entries or {}).items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry position ({i}, {j}) outside {rows}x{cols} matrix")
-            q = Fraction(value)
+            q = value if type(value) is int else Fraction(value)
             if q:
                 clean[(i, j)] = q
         self.entries = clean
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence[object]], cols: int | None = None) -> "ExactMatrix":
-        nrows = len(data)
         ncols = cols if cols is not None else (len(data[0]) if data else 0)
-        entries = {}
-        for i, row in enumerate(data):
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            for j, value in enumerate(row):
-                if value:
-                    entries[(i, j)] = Fraction(value)
-        return cls(nrows, ncols, entries)
+        if any(len(row) != ncols for row in data):
+            raise ValueError("ragged rows")
+        entries = {(i, j): v for i, row in enumerate(data) for j, v in enumerate(row) if v}
+        return cls(len(data), ncols, entries)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[object]], rows: int) -> "ExactMatrix":
-        entries = {}
-        for j, col in enumerate(columns):
-            if len(col) != rows:
-                raise ValueError("column of wrong length")
-            for i, value in enumerate(col):
-                if value:
-                    entries[(i, j)] = Fraction(value)
+        if any(len(col) != rows for col in columns):
+            raise ValueError("column of wrong length")
+        entries = {(i, j): v for j, col in enumerate(columns) for i, v in enumerate(col) if v}
         return cls(rows, len(columns), entries)
 
     @classmethod
@@ -71,7 +63,7 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
+        return cls(n, n, {(i, i): 1 for i in range(n)})
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -126,18 +118,18 @@ class ExactMatrix:
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
-        by_row: dict[int, dict[int, Fraction]] = {}
+        by_row: dict[int, dict[int, Fraction | int]] = {}
         for (i, k), v in self.entries.items():
             by_row.setdefault(i, {})[k] = v
-        other_rows: dict[int, dict[int, Fraction]] = {}
+        other_rows: dict[int, dict[int, Fraction | int]] = {}
         for (k, j), w in other.entries.items():
             other_rows.setdefault(k, {})[j] = w
-        entries: dict[tuple[int, int], Fraction] = {}
+        entries: dict[tuple[int, int], Fraction | int] = {}
         for i, row in by_row.items():
-            acc: dict[int, Fraction] = {}
+            acc: dict[int, Fraction | int] = {}
             for k, v in row.items():
                 for j, w in other_rows.get(k, {}).items():
-                    acc[j] = acc.get(j, Fraction(0)) + v * w
+                    acc[j] = acc.get(j, 0) + v * w
             for j, s in acc.items():
                 if s:
                     entries[(i, j)] = s
@@ -152,9 +144,9 @@ class ExactMatrix:
         return ExactMatrix(self.rows, self.cols + other.cols, entries)
 
 
-def _columns(matrix: ExactMatrix) -> dict[int, dict[int, Fraction]]:
+def _columns(matrix: ExactMatrix) -> dict[int, dict[int, Fraction | int]]:
     """The nonzero columns of the matrix, keyed by column index."""
-    columns: dict[int, dict[int, Fraction]] = {}
+    columns: dict[int, dict[int, Fraction | int]] = {}
     for (i, j), v in matrix.entries.items():
         columns.setdefault(j, {})[i] = v
     return columns

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -235,3 +237,31 @@ def test_correlate_output_byte_identical_across_runs(tmp_path, capsys):
         assert code == 0
         runs.append(out)
     assert runs[0] == runs[1]
+
+
+# sha256 of `correlate --dataset karate` stdout and of every --scatter-dir file,
+# recorded before the invariants moved to integer Brandes and sorted-potential
+# current flow. Scores print with .10g, so any moved digit changes a digest.
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "karate_correlate_sha256.json").read_text(encoding="utf-8")
+)
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("options", sorted(GOLDEN["stdout"]))
+def test_correlate_karate_byte_identical_to_golden(options, tmp_path, capsys):
+    scatter = tmp_path / "scatter"
+    code, out, _ = run(
+        capsys, "correlate", "--dataset", "karate", *options.split(), "--scatter-dir", str(scatter)
+    )
+    assert code == 0
+    assert sha256(out.encode("utf-8")) == GOLDEN["stdout"][options]
+    written = {p.name: sha256(p.read_bytes()) for p in scatter.iterdir()}
+    golden = GOLDEN["scatter"][options.split()[1]]
+    if "--m" in options:
+        assert written and all(golden[name] == digest for name, digest in written.items())
+    else:
+        assert written == golden

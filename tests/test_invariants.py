@@ -1,5 +1,6 @@
 import math
 import random
+from math import lcm
 
 import networkx as nx
 import pytest
@@ -8,17 +9,29 @@ from localhomology import (
     DisconnectedGraphError,
     Graph,
     PreconditionError,
+    barabasi_albert_graph,
     betweenness_edge,
     betweenness_vertex,
     clustering_scores,
     closeness_centrality,
     degree_centrality,
+    karate_graph,
     maximal_clique_count,
     pearson,
+    planar_grid_graph,
     random_walk_betweenness,
 )
 
-from util import oracle_betweenness, oracle_current_flow, random_connected_graph
+from util import (
+    oracle_betweenness,
+    oracle_brandes_edge,
+    oracle_brandes_vertex,
+    oracle_current_flow,
+    oracle_current_flow_pairs,
+    random_connected_graph,
+    random_tree,
+    shortest_path_dag,
+)
 
 
 @pytest.fixture
@@ -96,8 +109,6 @@ def test_betweenness_matches_enumeration_oracle():
 
 
 def test_betweenness_matches_networkx_on_karate():
-    from localhomology import karate_graph
-
     g = karate_graph()
     ours = betweenness_vertex(g).values
     nxg = nx.Graph(list(g.edges))
@@ -118,7 +129,70 @@ def test_edge_betweenness_path(path3):
     assert values[(0, 1)] == values[(1, 2)] == 2.0  # 1 direct pair + shared long pair
 
 
+def cycle_graph(n):
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def disjoint_union(a, b):
+    return Graph(a.n + b.n, list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges])
+
+
+def property_graphs():
+    """Seeded connected graphs and disconnected graphs for the fast-path property tests."""
+    rng = random.Random(2026)
+    connected = [Graph(2, [(0, 1)]), karate_graph()]
+    connected += [random_tree(rng, n) for n in (3, 5, 8, 12, 17)]
+    connected += [cycle_graph(n) for n in (3, 4, 5, 7, 10)]
+    connected += [complete_graph(n) for n in (3, 4, 6, 9)]
+    connected += [planar_grid_graph(w, h, 0.0, 1) for w, h in ((4, 4), (3, 6), (5, 5))]
+    for seed, (w, h) in enumerate(((4, 4), (6, 5), (7, 3))):
+        connected.append(planar_grid_graph(w, h, 0.5, seed))
+    for seed, (n, attach) in enumerate(((10, 1), (15, 2), (20, 3), (25, 2), (30, 1))):
+        connected.append(barabasi_albert_graph(n, attach, seed))
+    connected += [random_connected_graph(rng, rng.randint(4, 14)) for _ in range(10)]
+    disconnected = [
+        Graph(2, []),
+        Graph(5, [(0, 1), (1, 2)]),
+        disjoint_union(cycle_graph(5), complete_graph(3)),
+        disjoint_union(planar_grid_graph(3, 3, 0.0, 1), random_tree(rng, 6)),
+        disjoint_union(random_connected_graph(rng, 7), random_connected_graph(rng, 5)),
+    ]
+    return connected, disconnected
+
+
+def test_property_graphs_cover_the_hard_cases():
+    connected, disconnected = property_graphs()
+    assert len(connected) + len(disconnected) >= 40
+    # A source whose lcm of path counts exceeds every count, so P = max(sigma)
+    # would truncate P // sigma: from a corner of the 4x4 grid the counts go up
+    # to 20 and their lcm is 60.
+    grid = planar_grid_graph(4, 4, 0.0, 1)
+    assert any(
+        lcm(*(sigma[w] for w in order)) > max(sigma)
+        for order, sigma, _ in (shortest_path_dag(grid, s) for s in range(grid.n))
+    )
+    # Pendant vertices carry no current between other pairs: the endpoint term alone.
+    assert sum(any(len(g.adjacency[v]) == 1 for v in range(g.n)) for g in connected) >= 10
+
+
+def test_betweenness_equals_rational_brandes_oracle():
+    connected, disconnected = property_graphs()
+    for g in connected + disconnected:
+        assert betweenness_vertex(g).values == tuple(float(x) for x in oracle_brandes_vertex(g))
+        edge_oracle = oracle_brandes_edge(g)
+        assert betweenness_edge(g).values == {e: float(x) for e, x in edge_oracle.items()}
+
+
 # -- random-walk betweenness --------------------------------------------------
+
+
+def test_random_walk_matches_pairwise_current_flow_oracle():
+    connected, _ = property_graphs()
+    for g in connected:
+        ours = random_walk_betweenness(g).values
+        oracle = oracle_current_flow_pairs(g)
+        assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(ours, oracle)), g
+
 
 
 def test_random_walk_path_midpoint_largest(path3):
@@ -145,8 +219,6 @@ def test_random_walk_matches_circuit_oracle():
 
 
 def test_random_walk_affine_equivalent_to_networkx():
-    from localhomology import karate_graph
-
     g = karate_graph()
     ours = random_walk_betweenness(g).values
     nxg = nx.Graph(list(g.edges))

@@ -8,11 +8,12 @@ from localhomology import (
     ExactMatrix,
     kernel_basis,
     rank,
+    relative_chain_complex,
     solve_in_image,
 )
 from localhomology.linalg import IncrementalRank
 
-from util import oracle_rank_dense, oracle_rank_minors
+from util import oracle_rank_dense, oracle_rank_minors, torus_complex
 
 
 def random_matrix(rng, rows, cols, lo=-2, hi=2) -> ExactMatrix:
@@ -221,3 +222,55 @@ def test_incremental_rank():
             if grows:
                 accepted.append(vec)
         assert inc.rank == len(accepted)
+
+
+# -- int-or-Fraction entries ---------------------------------------------------
+
+
+def as_fractions(data):
+    return [[Fraction(x) for x in row] for row in data]
+
+
+def test_int_entries_stay_int():
+    m = ExactMatrix(2, 3, {(0, 0): 1, (1, 2): -2, (0, 1): Fraction(3), (1, 1): 0.5, (1, 0): 0})
+    assert {p: type(v) for p, v in m.entries.items()} == {
+        (0, 0): int, (1, 2): int, (0, 1): Fraction, (1, 1): Fraction
+    }
+    assert m.entries[(1, 1)] == Fraction(1, 2)
+    rows = ExactMatrix.from_rows([[1, 0, -1], [0, 2, Fraction(1, 3)]])
+    assert [type(v) for _, v in sorted(rows.entries.items())] == [int, int, int, Fraction]
+    cols = ExactMatrix.from_columns([[1, 0], [0, -3], [Fraction(1, 3), 0]], 2)
+    assert [type(v) for _, v in sorted(cols.entries.items())] == [int, Fraction, int]
+    # Boundary matrices hold their signs as ints.
+    chain = relative_chain_complex(torus_complex(), [])
+    assert all(type(v) is int for b in chain.boundaries for v in b.entries.values())
+
+
+def test_int_and_fraction_copies_are_equal_and_hash_alike():
+    rng = random.Random(41)
+    for _ in range(20):
+        cols = rng.randint(1, 5)
+        data = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rng.randint(1, 5))]
+        ints, fracs = ExactMatrix.from_rows(data), ExactMatrix.from_rows(as_fractions(data))
+        assert all(type(v) is int for v in ints.entries.values())
+        assert all(type(v) is Fraction for v in fracs.entries.values())
+        assert ints == fracs and hash(ints) == hash(fracs)
+
+
+def test_int_and_fraction_copies_reduce_alike():
+    # rank, kernel_basis and solve_in_image see the same matrices whichever
+    # type the entries have; half the matrices get a dependent column.
+    rng = random.Random(43)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        data = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+        if rng.random() < 0.5:
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            for row in data:
+                row.append(a * row[0] + b * row[-1])
+        ints, fracs = ExactMatrix.from_rows(data), ExactMatrix.from_rows(as_fractions(data))
+        assert rank(ints) == rank(fracs) == oracle_rank_dense(data)
+        assert kernel_basis(ints) == kernel_basis(fracs)
+        x0 = [rng.randint(-3, 3) for _ in range(ints.cols)]
+        for target in (ints.apply(x0), [rng.randint(-3, 3) for _ in range(ints.rows)]):
+            assert solve_in_image(ints, target) == solve_in_image(fracs, target)

@@ -3,12 +3,15 @@
 The oracles here are deliberately written from scratch with the most naive
 correct algorithm available (dense textbook elimination, exhaustive path
 enumeration, per-pair circuit solves) so they share no code with the
-package implementations they check.
+package implementations they check. The previous implementations of
+replaced fast paths (rational Brandes, the per-pair current-flow loop)
+are kept here as oracles for the paths that replaced them.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
@@ -288,4 +291,82 @@ def oracle_current_flow(graph: Graph) -> list[float]:
                 )
             through[s] = through[t] = 1.0
             totals += through
+    return list(totals / (n * (n - 1) / 2.0))
+
+
+def oracle_brandes_vertex(graph: Graph) -> list[Fraction]:
+    """Brandes dependency accumulation in exact rationals, one Fraction per edge step."""
+    scores = [Fraction(0)] * graph.n
+    for source in range(graph.n):
+        order, sigma, preds = shortest_path_dag(graph, source)
+        delta = [Fraction(0)] * graph.n
+        for w in reversed(order):
+            for v in preds[w]:
+                delta[v] += Fraction(sigma[v], sigma[w]) * (1 + delta[w])
+            if w != source:
+                scores[w] += delta[w]
+    return [s / 2 for s in scores]
+
+
+def oracle_brandes_edge(graph: Graph) -> dict[tuple[int, int], Fraction]:
+    """Edge form of `oracle_brandes_vertex`: each edge's share of every dependency."""
+    values = {edge: Fraction(0) for edge in graph.edges}
+    for source in range(graph.n):
+        order, sigma, preds = shortest_path_dag(graph, source)
+        delta = [Fraction(0)] * graph.n
+        for w in reversed(order):
+            for v in preds[w]:
+                contribution = Fraction(sigma[v], sigma[w]) * (1 + delta[w])
+                values[(v, w) if v < w else (w, v)] += contribution
+                delta[v] += contribution
+    return {e: s / 2 for e, s in values.items()}
+
+
+def shortest_path_dag(graph: Graph, source: int):
+    """BFS order, shortest-path counts and predecessor lists from one source."""
+    sigma = [0] * graph.n
+    dist = [-1] * graph.n
+    preds: list[list[int]] = [[] for _ in range(graph.n)]
+    sigma[source] = 1
+    dist[source] = 0
+    order = []
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        order.append(u)
+        for w in graph.adjacency[u]:
+            if dist[w] < 0:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+            if dist[w] == dist[u] + 1:
+                sigma[w] += sigma[u]
+                preds[w].append(u)
+    return order, sigma, preds
+
+
+def oracle_current_flow_pairs(graph: Graph) -> list[float]:
+    """Current-flow betweenness by one pass per source-sink pair over the grounded inverse.
+
+    O(n^2) pairs, each an O(n^2) dense step: the throughput of every vertex
+    is half the absolute current over its incident edges, and the two
+    endpoints count as one.
+    """
+    import numpy as np
+
+    n = graph.n
+    adjacency = np.zeros((n, n))
+    for u, v in graph.edges:
+        adjacency[u, v] = adjacency[v, u] = 1.0
+    laplacian = np.diag(adjacency.sum(axis=1)) - adjacency
+    inverse = np.zeros((n, n))
+    inverse[:-1, :-1] = np.linalg.inv(laplacian[:-1, :-1])
+    totals = np.zeros(n)
+    for s in range(n):
+        for t in range(s + 1, n):
+            potentials = inverse[:, s] - inverse[:, t]
+            diffs = np.abs(potentials[:, None] - potentials[None, :]) * adjacency
+            throughput = 0.5 * diffs.sum(axis=1)
+            throughput[s] = 1.0
+            throughput[t] = 1.0
+            totals += throughput
     return list(totals / (n * (n - 1) / 2.0))
