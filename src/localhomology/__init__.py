@@ -84,12 +84,10 @@ from .analysis import (
 )
 from .stats import (
     CorrelationReport,
-    DatasetSpec,
     barabasi_albert_graph,
     correlation_table,
     edge_aggregate,
     erdos_renyi_graph,
-    generate,
     karate_graph,
     pearson,
     planar_grid_graph,

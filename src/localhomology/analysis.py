@@ -130,10 +130,9 @@ def is_homology_n_manifold(
     point; otherwise (False, offenders) with the offending simplices in
     lexicographic order.
     """
-    offenders = []
-    for simplex in sorted(complex.all_faces()):
-        if classify(complex, simplex, n) != manifold_interior(n):
-            offenders.append(simplex)
+    interior = manifold_interior(n)
+    profiles = profile_many(complex, m_max=0, ambient_dim=n)
+    offenders = [p.simplex for p in profiles if p.classification != interior]
     return (not offenders, offenders)
 
 

@@ -17,16 +17,18 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .analysis import manifold_interior, profile_many, profiles_to_csv
+from .analysis import is_homology_n_manifold, profile_many, profiles_to_csv
 from .complexes import complex_to_json_dict, load_complex
 from .errors import MalformedInputError, PreconditionError
 from .graphs import flag_complex, format_edge_list, read_edge_list
 from .homology import global_betti
 from .stats import (
-    DatasetSpec,
+    barabasi_albert_graph,
     correlation_table,
-    generate,
+    erdos_renyi_graph,
+    karate_edge_list,
     karate_graph,
+    planar_grid_graph,
 )
 
 EXIT_OK = 0
@@ -52,6 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_betti = sub.add_parser("betti", help="global Betti numbers of a complex")
     p_betti.add_argument("complex", help="path to a complex JSON file")
+    p_betti.set_defaults(handler=_cmd_betti)
 
     p_local = sub.add_parser("local", help="per-simplex local homology report")
     p_local.add_argument("complex", help="path to a complex JSON file")
@@ -61,13 +64,16 @@ def _build_parser() -> argparse.ArgumentParser:
         help="restrict to one simplex, comma-separated vertex labels (default: all)",
     )
     p_local.add_argument("--csv", help="write the CSV report to this path instead of stdout")
+    p_local.set_defaults(handler=_cmd_local)
 
     p_strat = sub.add_parser("strat", help="homology-manifold check and ramification list")
     p_strat.add_argument("complex", help="path to a complex JSON file")
     p_strat.add_argument("--dim", type=int, required=True, help="expected manifold dimension")
+    p_strat.set_defaults(handler=_cmd_strat)
 
     p_flag = sub.add_parser("flag", help="flag complex of a graph, as complex JSON")
     p_flag.add_argument("edges", help="path to an edge-list file")
+    p_flag.set_defaults(handler=_cmd_flag)
 
     p_corr = sub.add_parser("correlate", help="invariant vs local-Betti correlation table")
     p_corr.add_argument("edges", nargs="?", help="path to an edge-list file")
@@ -78,28 +84,34 @@ def _build_parser() -> argparse.ArgumentParser:
     p_corr.add_argument(
         "--scatter-dir", help="also write per-cell x,y scatter CSV files to this directory"
     )
+    p_corr.set_defaults(handler=_cmd_correlate)
 
     p_gen = sub.add_parser("generate", help="write a seeded random graph as an edge list")
+    p_gen.set_defaults(handler=_cmd_generate)
     gen_sub = p_gen.add_subparsers(dest="family", required=True)
     g_er = gen_sub.add_parser("er", help="uniform random graph with a fixed edge count")
     g_er.add_argument("--n", type=int, required=True)
     g_er.add_argument("--edges", type=int, required=True)
     g_er.add_argument("--seed", type=int, required=True)
     g_er.add_argument("--out", help="output path (default stdout)")
+    g_er.set_defaults(build=lambda a: erdos_renyi_graph(a.n, a.edges, a.seed))
     g_ba = gen_sub.add_parser("ba", help="preferential attachment graph")
     g_ba.add_argument("--n", type=int, required=True)
     g_ba.add_argument("--attach", type=int, required=True)
     g_ba.add_argument("--seed", type=int, required=True)
     g_ba.add_argument("--out", help="output path (default stdout)")
+    g_ba.set_defaults(build=lambda a: barabasi_albert_graph(a.n, a.attach, a.seed))
     g_pl = gen_sub.add_parser("planar", help="grid graph with random face diagonals")
     g_pl.add_argument("--width", type=int, required=True)
     g_pl.add_argument("--height", type=int, required=True)
     g_pl.add_argument("--diag-prob", type=float, required=True)
     g_pl.add_argument("--seed", type=int, required=True)
     g_pl.add_argument("--out", help="output path (default stdout)")
+    g_pl.set_defaults(build=lambda a: planar_grid_graph(a.width, a.height, a.diag_prob, a.seed))
 
     p_data = sub.add_parser("dataset", help="print a bundled dataset")
     p_data.add_argument("name", choices=["karate"])
+    p_data.set_defaults(handler=_cmd_dataset)
 
     return parser
 
@@ -148,14 +160,12 @@ def _cmd_strat(args) -> int:
     complex = load_complex(args.complex)
     if args.dim < 0:
         raise MalformedInputError("--dim must be non-negative")
-    interior = manifold_interior(args.dim)
-    profiles = profile_many(complex, m_max=0, ambient_dim=args.dim)
-    offenders = [p.simplex for p in profiles if p.classification != interior]
+    manifold, offenders = is_homology_n_manifold(complex, args.dim)
     print(
         json.dumps(
             {
                 "dimension": args.dim,
-                "homology_manifold": not offenders,
+                "homology_manifold": manifold,
                 "ramification_simplices": [list(s) for s in offenders],
             },
             sort_keys=True,
@@ -201,14 +211,7 @@ def _cmd_correlate(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    if args.family == "er":
-        spec = DatasetSpec.erdos_renyi(args.n, args.edges, args.seed)
-    elif args.family == "ba":
-        spec = DatasetSpec.barabasi_albert(args.n, args.attach, args.seed)
-    else:
-        spec = DatasetSpec.planar_grid(args.width, args.height, args.diag_prob, args.seed)
-    graph = generate(spec)
-    text = format_edge_list(graph)
+    text = format_edge_list(args.build(args))
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -217,10 +220,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_dataset(args) -> int:
-    from importlib import resources
-
-    text = resources.files("localhomology.data").joinpath("karate_edges.txt").read_text()
-    sys.stdout.write(text)
+    sys.stdout.write(karate_edge_list())
     return EXIT_OK
 
 
@@ -228,21 +228,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "betti":
-            return _cmd_betti(args)
-        if args.command == "local":
-            return _cmd_local(args)
-        if args.command == "strat":
-            return _cmd_strat(args)
-        if args.command == "flag":
-            return _cmd_flag(args)
-        if args.command == "correlate":
-            return _cmd_correlate(args)
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "dataset":
-            return _cmd_dataset(args)
-        raise MalformedInputError(f"unknown command {args.command!r}")
+        return args.handler(args)
     except MalformedInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED

@@ -1,7 +1,8 @@
 """Abstract simplicial complexes and their Alexandrov-topology operators.
 
 A complex is stored by its maximal simplices over interned integer vertex
-ids; every other face is implicit and enumerated on demand. The integer
+ids; every other face is implicit and enumerated on demand, which a complex
+that may have more than `MAX_FACES` faces refuses up front. The integer
 order of the interned ids is the fixed total vertex order used everywhere
 for orientation signs, so results are reproducible across runs.
 
@@ -21,10 +22,15 @@ from typing import Hashable, Iterable, Iterator, Sequence
 from .errors import (
     MalformedInputError,
     MalformedSimplexError,
+    PreconditionError,
     UnknownSimplexError,
 )
 
 Simplex = tuple[int, ...]
+
+# Faces are enumerated on demand; a complex whose maximal simplices could
+# have more faces than this, counted as the sum of 2^|m| - 1, is refused.
+MAX_FACES = 2**22
 
 
 def _label_sort_key(label):
@@ -60,7 +66,8 @@ class SimplicialComplex:
     """
 
     __slots__ = (
-        "maximal", "labels", "dim", "_faces_by_dim", "_cofacets", "_face_set", "_containing"
+        "maximal", "labels", "dim", "_face_bound", "_faces_by_dim", "_cofacets", "_face_set",
+        "_containing",
     )
 
     def __init__(self, maximal: frozenset[Simplex], labels: tuple[Hashable, ...]):
@@ -69,6 +76,7 @@ class SimplicialComplex:
         self.maximal = maximal
         self.labels = labels
         self.dim = max((len(s) - 1 for s in maximal), default=-1)
+        self._face_bound = sum((1 << len(s)) - 1 for s in maximal)
         self._faces_by_dim: dict[int, tuple[Simplex, ...]] = {}
         self._cofacets: dict[int, dict[Simplex, tuple[Simplex, ...]]] = {}
         self._face_set: set[Simplex] | None = None
@@ -124,6 +132,11 @@ class SimplicialComplex:
             return ()
         cached = self._faces_by_dim.get(k)
         if cached is None:
+            if self._face_bound > MAX_FACES:
+                raise PreconditionError(
+                    f"complex may have up to {self._face_bound} faces (the sum of 2^|m| - 1 "
+                    f"over its maximal simplices m), above the limit of {MAX_FACES}"
+                )
             found = set()
             for m in self.maximal:
                 if len(m) >= k + 1:
@@ -297,7 +310,7 @@ def _index_by_vertex(simplices: Iterable[Simplex]) -> dict[int, list[frozenset[i
 
 @dataclass(frozen=True)
 class SimplexSet:
-    """A subset of the faces of a complex, with Alexandrov-topology helpers."""
+    """A subset of the faces of a complex; its topology operators live on the complex."""
 
     complex: SimplicialComplex = field(repr=False)
     members: frozenset[Simplex]
@@ -334,24 +347,6 @@ class SimplexSet:
         return SimplexSet(
             self.complex, frozenset(self.complex._all_faces_set() - self.members)
         )
-
-    def star(self) -> "SimplexSet":
-        return self.complex.star(self)
-
-    def closure(self) -> "SimplexSet":
-        return self.complex.closure(self)
-
-    def link(self) -> "SimplexSet":
-        return self.complex.link(self)
-
-    def frontier(self) -> "SimplexSet":
-        return self.complex.frontier(self)
-
-    def is_open(self) -> bool:
-        return self.complex.is_open(self)
-
-    def is_closed(self) -> bool:
-        return self.complex.is_closed(self)
 
     def vertex_set(self) -> frozenset[int]:
         out: set[int] = set()

@@ -33,10 +33,6 @@ class ChainComplexRep:
     bases: tuple[tuple[Simplex, ...], ...]
     boundaries: tuple[ExactMatrix, ...]
 
-    @property
-    def top_dimension(self) -> int:
-        return len(self.bases) - 1
-
     def validate(self) -> None:
         for k, matrix in enumerate(self.boundaries):
             if matrix.cols != len(self.bases[k]):

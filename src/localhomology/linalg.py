@@ -24,6 +24,9 @@ class ExactMatrix:
     Entries map (row, col) -> int or Fraction with zeros omitted: int values
     stay int, others become Fraction, and since Fraction(1) == 1 with equal
     hashes, equality and hashing ignore which. Immutable once constructed.
+    The methods are the ones the library needs: construction, dense columns
+    for the homology bases, and the product behind
+    `ChainComplexRep.validate`.
     """
 
     __slots__ = ("rows", "cols", "entries")
@@ -43,14 +46,6 @@ class ExactMatrix:
         self.entries = clean
 
     @classmethod
-    def from_rows(cls, data: Sequence[Sequence[object]], cols: int | None = None) -> "ExactMatrix":
-        ncols = cols if cols is not None else (len(data[0]) if data else 0)
-        if any(len(row) != ncols for row in data):
-            raise ValueError("ragged rows")
-        entries = {(i, j): v for i, row in enumerate(data) for j, v in enumerate(row) if v}
-        return cls(len(data), ncols, entries)
-
-    @classmethod
     def from_columns(cls, columns: Sequence[Sequence[object]], rows: int) -> "ExactMatrix":
         if any(len(col) != rows for col in columns):
             raise ValueError("column of wrong length")
@@ -60,10 +55,6 @@ class ExactMatrix:
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
         return cls(rows, cols, {})
-
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls(n, n, {(i, i): 1 for i in range(n)})
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -87,33 +78,12 @@ class ExactMatrix:
     def __repr__(self) -> str:
         return f"ExactMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()}
-        )
-
     def columns_as_vectors(self) -> list[tuple[Fraction | int, ...]]:
         """Dense columns; absent entries are the int 0."""
         columns = [[0] * self.rows for _ in range(self.cols)]
         for (i, j), v in self.entries.items():
             columns[j][i] = v
         return [tuple(column) for column in columns]
-
-    def to_dense(self) -> list[list[Fraction]]:
-        out = [[Fraction(0)] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
-        return out
-
-    def apply(self, vector: Sequence[object]) -> tuple[Fraction, ...]:
-        if len(vector) != self.cols:
-            raise ValueError("vector length does not match column count")
-        vec = [Fraction(v) for v in vector]
-        out = [Fraction(0)] * self.rows
-        for (i, j), v in self.entries.items():
-            if vec[j]:
-                out[i] += v * vec[j]
-        return tuple(out)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
@@ -134,14 +104,6 @@ class ExactMatrix:
                 if s:
                     entries[(i, j)] = s
         return ExactMatrix(self.rows, other.cols, entries)
-
-    def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row counts differ")
-        entries = dict(self.entries)
-        for (i, j), v in other.entries.items():
-            entries[(i, j + self.cols)] = v
-        return ExactMatrix(self.rows, self.cols + other.cols, entries)
 
 
 def _columns(matrix: ExactMatrix) -> dict[int, dict[int, Fraction | int]]:

@@ -1,4 +1,8 @@
-"""Correlation study harness: datasets, Pearson tables, edge aggregation.
+"""Correlation study harness: Pearson tables, edge aggregation, datasets.
+
+The datasets are the bundled karate club network and three seeded random
+graph families (Erdos-Renyi, Barabasi-Albert, planar grid), each built by
+its own function.
 
 Local Betti numbers stay exact integers through the whole pipeline and are
 converted to floating point only at the statistics boundary. Correlation
@@ -190,49 +194,20 @@ def correlation_table(
 # -- datasets ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DatasetSpec:
-    """Description of a graph dataset: bundled, generated, or from a file."""
-
-    kind: str
-    n: Optional[int] = None
-    edges: Optional[int] = None
-    attach: Optional[int] = None
-    width: Optional[int] = None
-    height: Optional[int] = None
-    diag_prob: Optional[float] = None
-    seed: Optional[int] = None
-    path: Optional[str] = None
-
-    @classmethod
-    def karate(cls) -> "DatasetSpec":
-        return cls(kind="karate")
-
-    @classmethod
-    def erdos_renyi(cls, n: int, edges: int, seed: int) -> "DatasetSpec":
-        return cls(kind="erdos_renyi", n=n, edges=edges, seed=seed)
-
-    @classmethod
-    def barabasi_albert(cls, n: int, attach: int, seed: int) -> "DatasetSpec":
-        return cls(kind="barabasi_albert", n=n, attach=attach, seed=seed)
-
-    @classmethod
-    def planar_grid(cls, width: int, height: int, diag_prob: float, seed: int) -> "DatasetSpec":
-        return cls(kind="planar_grid", width=width, height=height, diag_prob=diag_prob, seed=seed)
-
-    @classmethod
-    def file(cls, path: str) -> "DatasetSpec":
-        return cls(kind="file", path=path)
+def karate_edge_list() -> str:
+    """The bundled karate club edge-list file, comment header included."""
+    return resources.files("localhomology.data").joinpath("karate_edges.txt").read_text()
 
 
 def karate_graph() -> Graph:
     """The bundled 34-vertex, 78-edge karate club network."""
-    text = resources.files("localhomology.data").joinpath("karate_edges.txt").read_text()
-    return parse_edge_list(text)
+    return parse_edge_list(karate_edge_list())
 
 
-def erdos_renyi_graph(n: int, edges: int, seed: int, connected: bool = True) -> Graph:
-    """Uniform random graph with exactly the requested number of edges."""
+def erdos_renyi_graph(n: int, edges: int, seed: int) -> Graph:
+    """Connected uniform random graph with exactly the requested number of edges."""
+    if n < 0 or edges < 0:
+        raise PreconditionError("vertex and edge counts must be non-negative")
     possible = n * (n - 1) // 2
     if edges > possible:
         raise PreconditionError(f"cannot place {edges} edges on {n} vertices")
@@ -241,7 +216,7 @@ def erdos_renyi_graph(n: int, edges: int, seed: int, connected: bool = True) -> 
         rng = random.Random(seed * 1_000_003 + attempt)
         chosen = rng.sample(all_pairs, edges)
         graph = Graph(n, chosen)
-        if not connected or graph.is_connected():
+        if graph.is_connected():
             return graph
     raise PreconditionError(
         f"no connected sample with n={n}, edges={edges} after 100 attempts"
@@ -275,6 +250,8 @@ def planar_grid_graph(width: int, height: int, diag_prob: float, seed: int) -> G
     """
     if width < 2 or height < 2:
         raise PreconditionError("grid needs at least two rows and two columns")
+    if not 0.0 <= diag_prob <= 1.0:
+        raise PreconditionError("diagonal probability must lie in [0, 1]")
     rng = random.Random(seed)
 
     def vid(i: int, j: int) -> int:
@@ -295,20 +272,3 @@ def planar_grid_graph(width: int, height: int, diag_prob: float, seed: int) -> G
                 else:
                     edges.append((vid(i + 1, j), vid(i, j + 1)))
     return Graph(width * height, edges)
-
-
-def generate(spec: DatasetSpec) -> Graph:
-    """Materialize a DatasetSpec as a graph."""
-    if spec.kind == "karate":
-        return karate_graph()
-    if spec.kind == "erdos_renyi":
-        return erdos_renyi_graph(spec.n, spec.edges, spec.seed)
-    if spec.kind == "barabasi_albert":
-        return barabasi_albert_graph(spec.n, spec.attach, spec.seed)
-    if spec.kind == "planar_grid":
-        return planar_grid_graph(spec.width, spec.height, spec.diag_prob, spec.seed)
-    if spec.kind == "file":
-        from .graphs import read_edge_list
-
-        return read_edge_list(spec.path)
-    raise PreconditionError(f"unknown dataset kind {spec.kind!r}")

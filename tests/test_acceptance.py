@@ -50,6 +50,7 @@ from util import (
     annulus_complex,
     cone_over,
     graph_as_one_complex,
+    hstack,
     random_complex,
     random_connected_complex,
     random_connected_graph,
@@ -301,8 +302,8 @@ def _uniqueness_sides(x, u, v):
         kernel = local_betti(x, union)[k] - rank(joint)
         connecting = 0
         if k + 1 <= x.dim:
-            difference = induced_map_matrix(x, u, meet, k + 1).hstack(
-                _negate(induced_map_matrix(x, v, meet, k + 1))
+            difference = hstack(
+                induced_map_matrix(x, u, meet, k + 1), _negate(induced_map_matrix(x, v, meet, k + 1))
             )
             connecting = local_betti(x, meet)[k + 1] - rank(difference)
         sides.append((k, kernel, connecting))
@@ -348,8 +349,8 @@ def test_criterion_8_homology_sheaf_suite(acceptance):
             joint = _stack(
                 [induced_map_matrix(x, union, u, k), induced_map_matrix(x, union, v, k)]
             )
-            difference = induced_map_matrix(x, u, meet, k).hstack(
-                _negate(induced_map_matrix(x, v, meet, k))
+            difference = hstack(
+                induced_map_matrix(x, u, meet, k), _negate(induced_map_matrix(x, v, meet, k))
             )
             if not (difference @ joint).is_zero():
                 mv_failures += 1

@@ -78,7 +78,7 @@ def test_filtration_is_monotone_and_open():
         seed = [random.Random(1).choice(sorted(x.all_faces()))]
         levels = neighborhood_filtration(x, seed, 3).levels
         for m, level in enumerate(levels):
-            assert level.is_open()
+            assert x.is_open(level)
             if m:
                 assert levels[m - 1].members <= level.members
 
@@ -193,6 +193,17 @@ def test_annulus_fails_manifold_check_at_boundary():
     ok, offenders = is_homology_n_manifold(complex, 2)
     assert not ok
     assert set(offenders) == set(boundary)
+
+
+def test_manifold_check_matches_per_face_classify_loop():
+    # The per-face classify loop is the route is_homology_n_manifold replaced.
+    rng = random.Random(2024)
+    for _ in range(200):
+        x = random_complex(rng, n_vertices=rng.randint(3, 7), n_maximal=rng.randint(1, 6))
+        for n in range(4):
+            interior = f"manifold-interior({n})"
+            offenders = [s for s in sorted(x.all_faces()) if classify(x, s, n) != interior]
+            assert is_homology_n_manifold(x, n) == (not offenders, offenders)
 
 
 def test_wedge_ramifies_at_shared_vertex():

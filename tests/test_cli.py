@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -8,6 +10,8 @@ from localhomology import (
     complex_to_json_dict,
     dump_complex,
     flag_complex,
+    format_edge_list,
+    karate_graph,
     profile_many,
     profiles_to_csv,
     read_edge_list,
@@ -180,6 +184,22 @@ def test_generate_ba_and_planar(tmp_path, capsys):
     assert parse_edge_list(out).edge_count == 12 + 4
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "er --n 5 --edges -1 --seed 1",
+        "er --n -3 --edges 2 --seed 1",
+        "planar --width 3 --height 3 --diag-prob 2 --seed 1",
+        "planar --width 3 --height 3 --diag-prob -0.5 --seed 1",
+    ],
+)
+def test_generate_rejects_out_of_range_parameters(argv, capsys):
+    code, out, err = run(capsys, "generate", *argv.split())
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "must" in err
+
+
 def test_local_csv_file_output(tetra_json, tmp_path, capsys):
     target = tmp_path / "report.csv"
     code, out, _ = run(capsys, "local", tetra_json, "--csv", str(target))
@@ -265,3 +285,33 @@ def test_correlate_karate_byte_identical_to_golden(options, tmp_path, capsys):
         assert written and all(golden[name] == digest for name, digest in written.items())
     else:
         assert written == golden
+
+
+# sha256 of stdout for fixed CLI commands, recorded before DatasetSpec and
+# the CLI's own strat loop were removed. The placeholders name input files
+# that cli_stdout writes first: the karate flag complex and the annulus.
+CLI_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "cli_stdout_sha256.json").read_text(encoding="utf-8")
+)
+
+
+def cli_stdout(command: str, tmp_dir: Path) -> bytes:
+    """Run one CLI command line in process; return its stdout bytes."""
+    inputs = {
+        "KARATE_EDGES": tmp_dir / "karate.txt",
+        "KARATE": tmp_dir / "karate.json",
+        "ANNULUS": tmp_dir / "annulus.json",
+    }
+    inputs["KARATE_EDGES"].write_text(format_edge_list(karate_graph()), encoding="utf-8")
+    dump_complex(flag_complex(karate_graph()), inputs["KARATE"])
+    dump_complex(annulus_complex()[0], inputs["ANNULUS"])
+    argv = [str(inputs.get(token, token)) for token in command.split()]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("command", sorted(CLI_GOLDEN))
+def test_cli_stdout_byte_identical_to_golden(command, tmp_path):
+    assert sha256(cli_stdout(command, tmp_path)) == CLI_GOLDEN[command]

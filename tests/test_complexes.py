@@ -6,10 +6,13 @@ import pytest
 from localhomology import (
     MalformedInputError,
     MalformedSimplexError,
+    PreconditionError,
     SimplicialComplex,
     UnknownSimplexError,
     complex_from_json_dict,
     complex_to_json_dict,
+    global_betti,
+    local_betti_at,
 )
 
 from util import naive_closure, naive_contains, naive_maximal, random_complex
@@ -96,6 +99,22 @@ def test_interning_is_dense_and_deterministic():
     assert x.labels == ("a", "c", "b")
     assert x.simplex_with_labels(["a"]) == (0,)
     assert x.labels_of((0, 1)) == ("a", "c")
+
+
+def test_huge_simplex_fails_fast_without_enumerating_faces():
+    # One 40-vertex simplex has 2^40 - 1 faces. Construction and membership
+    # never enumerate them; anything that would is refused up front.
+    x = SimplicialComplex.from_maximal([range(40)])
+    assert x.dim == 39
+    assert (0, 17, 39) in x and (0, 40) not in x
+    for enumerate_faces in (
+        lambda: global_betti(x),
+        lambda: local_betti_at(x, (3,)),
+        lambda: x.simplex_set([(3,)]),
+        lambda: len(x),
+    ):
+        with pytest.raises(PreconditionError, match=str(2**40 - 1)):
+            enumerate_faces()
 
 
 def test_simplex_lookup_errors(triangle):
@@ -300,8 +319,8 @@ def test_open_closed_predicates(triangle):
     lone_edge = triangle.simplex_set([ab])
     assert not triangle.is_open(lone_edge)
     assert not triangle.is_closed(lone_edge)
-    assert triangle.star([ab]).is_open()
-    assert triangle.closure([ab]).is_closed()
+    assert triangle.is_open(triangle.star([ab]))
+    assert triangle.is_closed(triangle.closure([ab]))
 
 
 def test_duality_and_subcomplex_characterization():
@@ -312,14 +331,14 @@ def test_duality_and_subcomplex_characterization():
         if not faces:
             continue
         subset = x.simplex_set(rng.sample(faces, rng.randint(0, len(faces))))
-        assert subset.is_closed() == subset.complement().is_open()
+        assert x.is_closed(subset) == x.is_open(subset.complement())
         downward_closed = all(
             sub in subset.members
             for s in subset.members
             for i in range(len(s))
             if (sub := s[:i] + s[i + 1:])
         )
-        assert subset.is_closed() == downward_closed
+        assert x.is_closed(subset) == downward_closed
 
 
 def test_intersections_of_open_sets_are_open():
@@ -339,7 +358,7 @@ def test_intersections_of_open_sets_are_open():
         meet = opens[0]
         for other in opens[1:]:
             meet = meet & other
-        assert meet.is_open()
+        assert x.is_open(meet)
 
 
 def test_simplex_set_components():

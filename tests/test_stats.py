@@ -4,7 +4,6 @@ import random
 import pytest
 
 from localhomology import (
-    DatasetSpec,
     DisconnectedGraphError,
     Graph,
     PreconditionError,
@@ -12,8 +11,6 @@ from localhomology import (
     correlation_table,
     edge_aggregate,
     erdos_renyi_graph,
-    format_edge_list,
-    generate,
     karate_graph,
     pearson,
     planar_grid_graph,
@@ -114,18 +111,6 @@ def test_planar_grid_shape():
     base_edges = 2 * 5 * 4
     assert base_edges <= g.edge_count <= base_edges + 16
     assert g.is_connected()
-
-
-def test_generate_dispatch(tmp_path):
-    assert generate(DatasetSpec.karate()).edge_count == 78
-    assert generate(DatasetSpec.erdos_renyi(10, 20, 1)).edge_count == 20
-    assert generate(DatasetSpec.barabasi_albert(10, 2, 1)).edge_count == 16
-    assert generate(DatasetSpec.planar_grid(3, 3, 0.0, 1)).edge_count == 12
-    path = tmp_path / "g.txt"
-    path.write_text(format_edge_list(Graph.from_edge_list([(0, 1)])), encoding="utf-8")
-    assert generate(DatasetSpec.file(str(path))).edge_count == 1
-    with pytest.raises(PreconditionError):
-        generate(DatasetSpec(kind="mystery"))
 
 
 # -- correlation tables ----------------------------------------------------------

@@ -15,7 +15,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
-from localhomology import Graph, SimplicialComplex
+from localhomology import ExactMatrix, Graph, SimplicialComplex
 
 # -- random structures -------------------------------------------------------
 
@@ -156,6 +156,55 @@ def projective_plane() -> SimplicialComplex:
             [1, 2, 4], [2, 3, 5], [1, 3, 4], [2, 4, 5], [1, 3, 5],
         ]
     )
+
+
+# -- matrix helpers ------------------------------------------------------------
+# Dense views and algebra on ExactMatrix that only the tests need.
+
+
+def from_rows(data, cols=None) -> ExactMatrix:
+    ncols = cols if cols is not None else (len(data[0]) if data else 0)
+    if any(len(row) != ncols for row in data):
+        raise ValueError("ragged rows")
+    entries = {(i, j): v for i, row in enumerate(data) for j, v in enumerate(row) if v}
+    return ExactMatrix(len(data), ncols, entries)
+
+
+def identity_matrix(n: int) -> ExactMatrix:
+    return ExactMatrix(n, n, {(i, i): 1 for i in range(n)})
+
+
+def transpose(matrix: ExactMatrix) -> ExactMatrix:
+    return ExactMatrix(
+        matrix.cols, matrix.rows, {(j, i): v for (i, j), v in matrix.entries.items()}
+    )
+
+
+def to_dense(matrix: ExactMatrix) -> list[list[Fraction]]:
+    out = [[Fraction(0)] * matrix.cols for _ in range(matrix.rows)]
+    for (i, j), v in matrix.entries.items():
+        out[i][j] = v
+    return out
+
+
+def apply(matrix: ExactMatrix, vector) -> tuple[Fraction, ...]:
+    if len(vector) != matrix.cols:
+        raise ValueError("vector length does not match column count")
+    vec = [Fraction(v) for v in vector]
+    out = [Fraction(0)] * matrix.rows
+    for (i, j), v in matrix.entries.items():
+        if vec[j]:
+            out[i] += v * vec[j]
+    return tuple(out)
+
+
+def hstack(left: ExactMatrix, right: ExactMatrix) -> ExactMatrix:
+    if left.rows != right.rows:
+        raise ValueError("row counts differ")
+    entries = dict(left.entries)
+    for (i, j), v in right.entries.items():
+        entries[(i, j + left.cols)] = v
+    return ExactMatrix(left.rows, left.cols + right.cols, entries)
 
 
 # -- independent oracles -----------------------------------------------------
