@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Hashable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -79,7 +79,7 @@ class SimplicialComplex:
         self._face_bound = sum((1 << len(s)) - 1 for s in maximal)
         self._faces_by_dim: dict[int, tuple[Simplex, ...]] = {}
         self._cofacets: dict[int, dict[Simplex, tuple[Simplex, ...]]] = {}
-        self._face_set: set[Simplex] | None = None
+        self._face_set: frozenset[Simplex] | None = None
         self._containing: dict[int, list[frozenset[int]]] | None = None
 
     @classmethod
@@ -199,22 +199,26 @@ class SimplicialComplex:
     # -- simplex sets and topology operators ------------------------------
 
     def simplex_set(self, members: Iterable[Simplex]) -> "SimplexSet":
+        """The members as a set of faces; each must be a face in ascending vertex order.
+
+        Membership is answered from the per-vertex index, so validation never
+        enumerates the faces of the complex.
+        """
         mem = frozenset(members)
-        face_set = self._all_faces_set()
         for s in mem:
-            if s not in face_set:
+            if s not in self or any(a >= b for a, b in zip(s, s[1:])):
                 raise UnknownSimplexError(f"{s} is not a face of the complex")
         return SimplexSet(self, mem)
 
     def full_set(self) -> "SimplexSet":
-        return SimplexSet(self, frozenset(self._all_faces_set()))
+        return SimplexSet(self, self._all_faces_set())
 
     def empty_set(self) -> "SimplexSet":
         return SimplexSet(self, frozenset())
 
-    def _all_faces_set(self) -> set[Simplex]:
+    def _all_faces_set(self) -> frozenset[Simplex]:
         if self._face_set is None:
-            self._face_set = set(self.all_faces())
+            self._face_set = frozenset(self.all_faces())
         return self._face_set
 
     def _coerce(self, subset) -> frozenset[Simplex]:
@@ -224,49 +228,60 @@ class SimplicialComplex:
             return subset.members
         return self.simplex_set(subset).members
 
+    def _by_dimension(self, members: frozenset[Simplex]) -> list[set[Simplex]]:
+        levels: list[set[Simplex]] = [set() for _ in range(self.dim + 1)]
+        for s in members:
+            levels[len(s) - 1].add(s)
+        return levels
+
     def star(self, subset) -> "SimplexSet":
-        """Smallest open set containing the subset."""
-        members = self._coerce(subset)
-        seen: set[Simplex] = set()
-        stack = list(members)
-        while stack:
-            s = stack.pop()
-            if s in seen:
-                continue
-            seen.add(s)
-            stack.extend(self.cofacets(s))
-        return SimplexSet(self, frozenset(seen))
+        """Smallest open set containing the subset.
+
+        Walks up one dimension at a time: the k-faces of the star are the
+        k-members plus the cofacets of its (k-1)-faces.
+        """
+        levels = self._by_dimension(self._coerce(subset))
+        for k in range(self.dim):
+            if levels[k]:
+                table = self._cofacet_table(k)
+                levels[k + 1].update(chain.from_iterable(filter(None, map(table.get, levels[k]))))
+        return SimplexSet(self, frozenset().union(*levels))
 
     def closure(self, subset) -> "SimplexSet":
         """Smallest closed set containing the subset (a subcomplex).
 
         Two exact routes, chosen by the size of the input A against |X|:
 
-        - A is more than half of X: start from A and walk the faces of X
-          outside A from the top dimension down, adding a face when one of
-          its cofacets is already in the result. A proper coface of f
-          contains a cofacet of f, so this finds every face of cl A. Cost
-          O(|X minus A| * max cofacets) plus set copies of size |X|.
-        - Otherwise: enumerate the 2^|s| - 1 faces of every input simplex s.
-          Cost O(sum over s in A of 2^|s|).
+        - A is more than half of X: walk the faces of X outside A from the
+          top dimension down, adding a face when one of its cofacets is in A
+          or already added. A proper coface of f contains a cofacet of f, so
+          this finds every face of cl A. Cost O(|X|) for the set difference
+          plus O(|X minus A| * max cofacets); the result is A itself when
+          nothing is added (A closed), else one copy, A with the added faces.
+        - Otherwise: walk down one dimension at a time, adding the facets of
+          each face reached. A face is expanded once however many members
+          contain it, so a member that a larger member covers costs nothing
+          more. Cost O(|cl A| * (dim X + 1)).
         """
         members = self._coerce(subset)
         face_set = self._all_faces_set()
         if 2 * len(members) > len(face_set):
-            outside: list[list[Simplex]] = [[] for _ in range(self.dim + 1)]
-            for f in face_set - members:
-                outside[len(f) - 1].append(f)
-            out = set(members)
+            outside = self._by_dimension(face_set - members)
+            added: set[Simplex] = set()
             # Top-dimensional faces have no cofacets, so they never join.
             for k in range(self.dim - 1, -1, -1):
                 table = self._cofacet_table(k)
-                out.update([f for f in outside[k] if not out.isdisjoint(table.get(f, ()))])
-            return SimplexSet(self, frozenset(out))
-        out = set()
-        for s in members:
-            for r in range(1, len(s) + 1):
-                out.update(combinations(s, r))
-        return SimplexSet(self, frozenset(out))
+                for f in outside[k]:
+                    ups = table.get(f, ())
+                    if not (members.isdisjoint(ups) and added.isdisjoint(ups)):
+                        added.add(f)
+            return SimplexSet(self, members | added if added else members)
+        levels = self._by_dimension(members)
+        for k in range(self.dim, 0, -1):
+            down = levels[k - 1]
+            for s in levels[k]:
+                down.update(combinations(s, k))
+        return SimplexSet(self, frozenset().union(*levels))
 
     def link(self, subset) -> "SimplexSet":
         """cl(star A) minus (star A union cl A)."""
@@ -278,9 +293,8 @@ class SimplicialComplex:
     def frontier(self, subset) -> "SimplexSet":
         """cl A intersected with cl(X minus A)."""
         members = self._coerce(subset)
-        cl = self.closure(members)
-        complement = self._all_faces_set() - members
-        cl_comp = self.closure(SimplexSet(self, frozenset(complement)))
+        cl = self.closure(SimplexSet(self, members))
+        cl_comp = self.closure(SimplexSet(self, self._all_faces_set() - members))
         return SimplexSet(self, cl.members & cl_comp.members)
 
     def is_open(self, subset) -> bool:
@@ -344,9 +358,7 @@ class SimplexSet:
         return SimplexSet(self.complex, self.members - other.members)
 
     def complement(self) -> "SimplexSet":
-        return SimplexSet(
-            self.complex, frozenset(self.complex._all_faces_set() - self.members)
-        )
+        return SimplexSet(self.complex, self.complex._all_faces_set() - self.members)
 
     def vertex_set(self) -> frozenset[int]:
         out: set[int] = set()

@@ -3,12 +3,19 @@
 All Betti-number computations in this package reduce to ranks, kernels and
 solves on sparse signed incidence matrices. They share one exact
 elimination loop, `_reduce`: each column is scaled to integers by the lcm of
-its denominators, and the columns are reduced left to right by their lowest
-nonzero row, the standard boundary-matrix reduction, done fraction-free so
-every entry stays a Python `int`. For kernels and solves each column also
-carries tags that record the column operations applied to it (R = D V);
-a column whose rows all cancel leaves a kernel vector, or a solution, in
-its tags. No tolerance tuning is ever needed.
+its denominators (an all-`int` column is copied as it is), and the columns
+are reduced left to right by their lowest nonzero row, the standard
+boundary-matrix reduction, done fraction-free so every entry stays a Python
+`int`. For kernels and solves each column also carries tags that record the
+column operations applied to it (R = D V); a column whose rows all cancel
+leaves a kernel vector, or a solution, in its tags. No tolerance tuning is
+ever needed.
+
+A matrix is reduced for solving once: the first `solve_in_image` on an
+`ExactMatrix` keeps its tagged pivots on the matrix, and every later solve
+reduces only its target against them, without inserting it. The pivots
+never change once stored, so like the matrix itself they are safe for
+concurrent readers.
 """
 
 from __future__ import annotations
@@ -23,13 +30,15 @@ class ExactMatrix:
 
     Entries map (row, col) -> int or Fraction with zeros omitted: int values
     stay int, others become Fraction, and since Fraction(1) == 1 with equal
-    hashes, equality and hashing ignore which. Immutable once constructed.
+    hashes, equality and hashing ignore which. Immutable once constructed;
+    the tagged pivots that `solve_in_image` builds on first use are a cache
+    of a value determined by the entries, so concurrent readers are safe.
     The methods are the ones the library needs: construction, dense columns
     for the homology bases, and the product behind
     `ChainComplexRep.validate`.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_solve_pivots")
 
     def __init__(self, rows: int, cols: int, entries: Mapping[tuple, object] | None = None):
         if rows < 0 or cols < 0:
@@ -44,6 +53,7 @@ class ExactMatrix:
             if q:
                 clean[(i, j)] = q
         self.entries = clean
+        self._solve_pivots: dict[int, dict[int, int]] | None = None
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[object]], rows: int) -> "ExactMatrix":
@@ -125,36 +135,35 @@ def _integer_column(column: Mapping[int, Fraction | int], tag: int | None = None
     """The column times the lcm of its entries' denominators.
 
     With a tag key, the column also records that scale at the tag, so a
-    tagged column always holds the coefficients that produce it.
+    tagged column always holds the coefficients that produce it. An
+    all-`int` column has scale 1 and is copied as it is.
     """
-    scale = lcm(*(v.denominator for v in column.values()))
-    if scale == 1:
-        out = {i: v.numerator for i, v in column.items()}
+    if all(type(v) is int for v in column.values()):
+        scale = 1
+        out = dict(column)
     else:
+        scale = lcm(*(v.denominator for v in column.values()))
         out = {i: v.numerator * (scale // v.denominator) for i, v in column.items()}
     if tag is not None:
         out[tag] = scale
     return out
 
 
-def _reduce(col: dict[int, int], pivots: dict[int, dict[int, int]]) -> bool:
-    """Reduce an integer column in place; True when it becomes a new pivot.
+def _reduce(col: dict[int, int], pivots: Mapping[int, dict[int, int]]) -> int | None:
+    """Reduce an integer column in place; its new lowest row, or None if no row is left.
 
-    `pivots` maps each lowest row to its reduced column. While the lowest
-    row of `col` belongs to a pivot, col is replaced by a*col - b*pivot
-    (a, b divided by their gcd, a > 0), and after a step with a != 1 by
-    itself divided by the gcd of its entries. Keys below zero are tags, not
-    rows: they ride along with every step, so a column whose rows all
-    cancel is left holding only tags and the reduction stops there.
+    `pivots` maps each lowest row to its reduced column and is only read.
+    While the lowest row of `col` belongs to a pivot, col is replaced by
+    a*col - b*pivot (a, b divided by their gcd, a > 0), and after a step with
+    a != 1 by itself divided by the gcd of its entries. Keys below zero are
+    tags, not rows: they ride along with every step, so a column whose rows
+    all cancel is left holding only tags and the reduction stops there.
     """
     while col:
         low = max(col)
         pivot = pivots.get(low)
         if pivot is None:
-            if low < 0:
-                return False  # every row cancelled; only tags are left
-            pivots[low] = col
-            return True
+            return low if low >= 0 else None  # below zero: only tags are left
         a, b = pivot[low], col[low]
         g = gcd(a, b) if a > 0 else -gcd(a, b)
         a, b = a // g, b // g  # a > 0, and a == 1 whenever a divides b
@@ -172,7 +181,16 @@ def _reduce(col: dict[int, int], pivots: dict[int, dict[int, int]]) -> bool:
             if g != 1:
                 for i in col:
                     col[i] //= g
-    return False
+    return None
+
+
+def _add_pivot(col: dict[int, int], pivots: dict[int, dict[int, int]]) -> bool:
+    """Reduce an integer column in place; True when it is stored as a new pivot."""
+    low = _reduce(col, pivots)
+    if low is None:
+        return False
+    pivots[low] = col
+    return True
 
 
 def _tagged_reduction(matrix: ExactMatrix) -> tuple[dict[int, dict[int, int]], list[dict[int, int]]]:
@@ -186,7 +204,7 @@ def _tagged_reduction(matrix: ExactMatrix) -> tuple[dict[int, dict[int, int]], l
     cancelled = []
     for j in range(matrix.cols):
         col = _integer_column(columns.get(j, {}), -1 - j)
-        if not _reduce(col, pivots):
+        if not _add_pivot(col, pivots):
             cancelled.append(col)
     return pivots, cancelled
 
@@ -204,7 +222,7 @@ def rank(matrix: ExactMatrix) -> int:
     for j in sorted(columns):
         if len(pivots) == matrix.rows:
             break  # every row is a pivot, so every later column reduces to zero
-        _reduce(_integer_column(columns[j]), pivots)
+        _add_pivot(_integer_column(columns[j]), pivots)
     return len(pivots)
 
 
@@ -228,13 +246,20 @@ def solve_in_image(matrix: ExactMatrix, target: Sequence[object]) -> Optional[tu
     """Some x with matrix @ x = target, or None when target is outside the image.
 
     x is supported on the pivot columns, those independent of the columns
-    left of them, so the returned solution is deterministic.
+    left of them, so the returned solution is deterministic. The matrix's
+    columns are reduced on the first solve and the pivots kept on it; the
+    target is reduced against them but never added, so every solve on the
+    same matrix sees the same pivots.
     """
     if len(target) != matrix.rows:
         raise ValueError("target length does not match row count")
+    pivots = matrix._solve_pivots
+    if pivots is None:
+        # Built in full before it is stored; a racing solve stores an equal value.
+        pivots = matrix._solve_pivots = _tagged_reduction(matrix)[0]
     n = matrix.cols
     col = _integer_column(_sparse(target), -1 - n)
-    if _reduce(col, _tagged_reduction(matrix)[0]):
+    if _reduce(col, pivots) is not None:
         return None
     own = col.pop(-1 - n)  # the rows cancel: matrix @ tags + own * target = 0
     x = [Fraction(0)] * n
@@ -259,4 +284,4 @@ class IncrementalRank:
         return len(self._pivots)
 
     def add(self, vector: Iterable[object]) -> bool:
-        return _reduce(_integer_column(_sparse(vector)), self._pivots)
+        return _add_pivot(_integer_column(_sparse(vector)), self._pivots)

@@ -15,7 +15,7 @@ from localhomology import (
     local_betti_at,
 )
 
-from util import naive_closure, naive_contains, naive_maximal, random_complex
+from util import naive_closure, naive_contains, naive_maximal, naive_star, random_complex
 
 
 @pytest.fixture
@@ -102,15 +102,17 @@ def test_interning_is_dense_and_deterministic():
 
 
 def test_huge_simplex_fails_fast_without_enumerating_faces():
-    # One 40-vertex simplex has 2^40 - 1 faces. Construction and membership
-    # never enumerate them; anything that would is refused up front.
+    # One 40-vertex simplex has 2^40 - 1 faces. Construction, membership and
+    # simplex-set validation never enumerate them; anything that would is
+    # refused up front.
     x = SimplicialComplex.from_maximal([range(40)])
     assert x.dim == 39
     assert (0, 17, 39) in x and (0, 40) not in x
+    assert len(x.simplex_set([(3,)])) == 1
     for enumerate_faces in (
         lambda: global_betti(x),
         lambda: local_betti_at(x, (3,)),
-        lambda: x.simplex_set([(3,)]),
+        lambda: x.star([(3,)]),
         lambda: len(x),
     ):
         with pytest.raises(PreconditionError, match=str(2**40 - 1)):
@@ -120,8 +122,10 @@ def test_huge_simplex_fails_fast_without_enumerating_faces():
 def test_simplex_lookup_errors(triangle):
     with pytest.raises(UnknownSimplexError):
         triangle.simplex_with_labels(["a", "z"])
-    with pytest.raises(UnknownSimplexError):
-        triangle.simplex_set([(5,)])
+    # Faces are named in ascending vertex order, without repeats.
+    for not_a_face in [(5,)], [(1, 0)], [(0, 0)]:
+        with pytest.raises(UnknownSimplexError):
+            triangle.simplex_set(not_a_face)
 
 
 # -- face enumeration --------------------------------------------------------
@@ -225,6 +229,29 @@ def test_closure_and_frontier_match_naive_subset_enumeration():
             assert x.closure(subset).members == naive_closure(subset)
             assert x.frontier(subset).members == naive_closure(subset) & naive_closure(rest)
     assert min(routes.values()) >= 50
+
+
+def test_star_and_is_open_match_naive_coface_scan():
+    # Arbitrary subsets (most of them not open), the empty set and the full
+    # set; closed sets over half of X take closure's large route.
+    rng = random.Random(37)
+    counts = {"not open": 0, "large closed": 0}
+    for _ in range(300):
+        x = random_complex(rng, n_vertices=rng.randint(1, 9), n_maximal=rng.randint(1, 7), max_size=6)
+        faces = sorted(x.all_faces())
+        density = rng.random()
+        chosen = [f for f in faces if rng.random() < density]
+        for subset in (chosen, [], faces):
+            star = naive_star(x, subset)
+            assert x.star(subset).members == star
+            assert x.is_open(subset) == (star == frozenset(subset))
+            counts["not open"] += star != frozenset(subset)
+        closed = x.closure(chosen)
+        if 2 * len(closed) > len(faces):
+            # Nothing to add, so the input comes back as it is, not copied.
+            assert x.closure(closed).members is closed.members
+            counts["large closed"] += 1
+    assert min(counts.values()) >= 50
 
 
 def test_closure_adds_face_whose_coface_but_no_cofacet_is_in_input():

@@ -195,6 +195,27 @@ def test_solve_random_consistent_systems():
     assert min(outcomes.values()) >= 10
 
 
+def test_solves_on_one_matrix_match_solves_on_fresh_equal_matrices():
+    # The first solve keeps the matrix's reduction on it. Later solves on the
+    # same object, inside and outside the image in turn, must answer as on a
+    # fresh equal matrix and leave rank and kernel as they were.
+    rng = random.Random(47)
+    outcomes = {True: 0, False: 0}
+    for _ in range(60):
+        m = random_matrix(rng, rng.randint(2, 6), rng.randint(1, 4))
+        before = (rank(m), kernel_basis(m))
+        for i in range(6):
+            if i % 2:
+                b = [rng.randint(-3, 3) for _ in range(m.rows)]
+            else:
+                b = apply(m, [rng.randint(-3, 3) for _ in range(m.cols)])
+            x = solve_in_image(m, b)
+            assert x == solve_in_image(ExactMatrix(m.rows, m.cols, m.entries), b)
+            outcomes[x is None] += 1
+        assert (rank(m), kernel_basis(m)) == before
+    assert min(outcomes.values()) >= 30
+
+
 def test_matmul_and_apply_agree():
     rng = random.Random(31)
     a = random_matrix(rng, 4, 5)

@@ -219,6 +219,14 @@ def naive_closure(members) -> frozenset:
     return frozenset(out)
 
 
+def naive_star(complex: SimplicialComplex, members) -> frozenset:
+    """Every face that contains some member, scanning every face of the complex."""
+    member_sets = [set(s) for s in members]
+    return frozenset(
+        f for f in naive_closure(complex.maximal) if any(s <= set(f) for s in member_sets)
+    )
+
+
 def naive_contains(complex: SimplicialComplex, simplex) -> bool:
     """Membership by a scan of every maximal simplex."""
     if not isinstance(simplex, tuple) or not simplex:
