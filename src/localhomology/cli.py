@@ -20,7 +20,7 @@ from . import __version__
 from .analysis import is_homology_n_manifold, profile_many, profiles_to_csv
 from .complexes import complex_to_json_dict, load_complex
 from .errors import MalformedInputError, PreconditionError
-from .graphs import flag_complex, format_edge_list, read_edge_list
+from .graphs import flag_complex, format_edge_list, parse_label, read_edge_list
 from .homology import global_betti
 from .stats import (
     barabasi_albert_graph,
@@ -130,7 +130,7 @@ def _parse_simplex_labels(text: str) -> list:
     tokens = [t.strip() for t in text.split(",")]
     if not tokens or any(t == "" for t in tokens):
         raise MalformedInputError(f"bad simplex {text!r}")
-    return [int(t) if t.lstrip("-").isdigit() else t for t in tokens]
+    return [parse_label(t) for t in tokens]
 
 
 def _cmd_betti(args) -> int:

@@ -38,6 +38,27 @@ def _label_sort_key(label):
     return (label.__class__.__name__, label if isinstance(label, (int, float, str)) else repr(label))
 
 
+def intern_labels(
+    groups: Iterable[Iterable[Hashable]], error: type[MalformedInputError]
+) -> tuple[tuple[Hashable, ...], list[tuple[int, ...]]]:
+    """Labels by dense id and each group as its ids, interning in encounter order.
+
+    Labels first seen in the same group are interned in sorted label order,
+    and equal labels share an id. An unhashable or unorderable label raises `error`.
+    """
+    intern: dict[Hashable, int] = {}
+    ids = []
+    for group in groups:
+        group = list(group)
+        try:
+            for label in sorted(group, key=_label_sort_key):
+                intern.setdefault(label, len(intern))
+        except TypeError as exc:
+            raise error(f"unhashable or unorderable labels in {group!r}") from exc
+        ids.append(tuple(intern[label] for label in group))
+    return tuple(intern), ids
+
+
 def simplex_dimension(simplex: Simplex) -> int:
     return len(simplex) - 1
 
@@ -71,8 +92,9 @@ class SimplicialComplex:
     )
 
     def __init__(self, maximal: frozenset[Simplex], labels: tuple[Hashable, ...]):
-        # Internal constructor; use from_maximal for label interning and
-        # normalization.
+        # Unchecked precondition: maximal holds ascending id tuples forming an
+        # antichain, and labels[v], distinct and hashable, names id v. Both
+        # from_maximal and flag_complex establish it.
         self.maximal = maximal
         self.labels = labels
         self.dim = max((len(s) - 1 for s in maximal), default=-1)
@@ -91,22 +113,15 @@ class SimplicialComplex:
         order. Inputs that are faces of other inputs are dropped, so the
         stored maximal set is an antichain.
         """
-        intern: dict[Hashable, int] = {}
+        labels, groups = intern_labels(simplices, MalformedSimplexError)
         canonical: set[Simplex] = set()
-        for raw in simplices:
-            raw = list(raw)
-            if not raw:
+        for group in groups:
+            if not group:
                 raise MalformedSimplexError("empty simplex")
-            if len(set(raw)) != len(raw):
-                raise MalformedSimplexError(f"repeated vertex in simplex {raw!r}")
-            try:
-                ordered = sorted(raw, key=_label_sort_key)
-            except TypeError as exc:
-                raise MalformedSimplexError(f"unorderable labels in simplex {raw!r}") from exc
-            for label in ordered:
-                if label not in intern:
-                    intern[label] = len(intern)
-            canonical.add(tuple(sorted(intern[label] for label in raw)))
+            if len(set(group)) != len(group):
+                named = [labels[v] for v in group]
+                raise MalformedSimplexError(f"repeated vertex in simplex {named!r}")
+            canonical.add(tuple(sorted(group)))
         # A proper coface of s contains every vertex of s, so it suffices to
         # look among the inputs containing s's rarest vertex.
         containing = _index_by_vertex(canonical)
@@ -115,7 +130,6 @@ class SimplicialComplex:
             rarest = min(s, key=lambda v: len(containing[v]))
             if not any(len(t) > len(s) and t.issuperset(s) for t in containing[rarest]):
                 survivors.add(s)
-        labels = tuple(sorted(intern, key=intern.get))
         return cls(frozenset(survivors), labels)
 
     # -- basic queries ---------------------------------------------------
@@ -367,10 +381,8 @@ class SimplexSet:
         return frozenset(out)
 
     def by_dimension(self) -> dict[int, tuple[Simplex, ...]]:
-        buckets: dict[int, list[Simplex]] = {}
-        for s in self.members:
-            buckets.setdefault(len(s) - 1, []).append(s)
-        return {k: tuple(sorted(v)) for k, v in buckets.items()}
+        levels = self.complex._by_dimension(self.members)
+        return {k: tuple(sorted(level)) for k, level in enumerate(levels) if level}
 
     def connected_components(self) -> int:
         """Components of the face-inclusion relation restricted to the set."""
@@ -425,7 +437,10 @@ def complex_from_json_dict(data: dict) -> SimplicialComplex:
         # Feeding each vertex as a singleton first pins the interned id of
         # labels[i] to i, so canonical files round-trip exactly.
         singletons = [[label] for label in labels]
-        return SimplicialComplex.from_maximal(singletons + relabeled)
+        complex = SimplicialComplex.from_maximal(singletons + relabeled)
+        if len(complex.labels) != len(labels):
+            raise MalformedInputError("'labels' must be distinct")
+        return complex
     return SimplicialComplex.from_maximal(maximal)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Hashable, Iterable, Sequence
 
-from .complexes import SimplicialComplex, _label_sort_key
+from .complexes import SimplicialComplex, intern_labels
 from .errors import MalformedInputError, UnknownVertexError
 
 
@@ -37,6 +37,8 @@ class Graph:
         self.labels = tuple(labels) if labels is not None else tuple(range(n))
         if len(self.labels) != n:
             raise MalformedInputError("label list length must equal the vertex count")
+        if labels is not None and len(intern_labels([self.labels], MalformedInputError)[0]) != n:
+            raise MalformedInputError("vertex labels must be distinct")
 
     @classmethod
     def from_edge_list(cls, pairs: Iterable[Sequence[Hashable]], n: int | None = None) -> "Graph":
@@ -56,17 +58,8 @@ class Graph:
                 if not (isinstance(u, int) and isinstance(v, int)):
                     raise MalformedInputError("vertex ids must be integers when a count is declared")
             return cls(n, [(u, v) for u, v in pairs])
-        intern: dict[Hashable, int] = {}
-        for pair in pairs:
-            try:
-                ordered = sorted(pair, key=_label_sort_key)
-            except TypeError as exc:
-                raise MalformedInputError(f"unorderable labels in edge {pair!r}") from exc
-            for label in ordered:
-                if label not in intern:
-                    intern[label] = len(intern)
-        labels = tuple(sorted(intern, key=intern.get))
-        return cls(len(intern), [(intern[u], intern[v]) for u, v in pairs], labels)
+        labels, edges = intern_labels(pairs, MalformedInputError)
+        return cls(len(labels), edges, labels)
 
     @property
     def edge_count(self) -> int:
@@ -187,16 +180,22 @@ def maximal_cliques(graph: Graph) -> list[tuple[int, ...]]:
 def flag_complex(graph: Graph) -> SimplicialComplex:
     """Complex whose faces are exactly the cliques of the graph.
 
-    Vertex v of the graph becomes the 0-simplex (v,) of the complex: the
-    singleton pass pins interned ids to graph ids, and the complex carries
-    the graph's labels.
+    Vertex v of the graph is the 0-simplex (v,) of the complex, which carries
+    the graph's distinct labels. The maximal cliques, isolated vertices
+    included, are ascending id tuples forming an antichain, as it requires.
     """
-    singletons = [[graph.labels[v]] for v in range(graph.n)]
-    cliques = [[graph.labels[v] for v in clique] for clique in maximal_cliques(graph)]
-    return SimplicialComplex.from_maximal(singletons + cliques)
+    return SimplicialComplex(frozenset(maximal_cliques(graph)), graph.labels)
 
 
 # -- edge-list files --------------------------------------------------------
+
+
+def parse_label(token: str) -> Hashable:
+    """An optional minus and then digits reads as an integer; any other token is a string label."""
+    try:
+        return int(token) if token.lstrip("-").isdigit() else token
+    except ValueError:  # "--5", "²": digits int() cannot read
+        return token
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -204,7 +203,7 @@ def parse_edge_list(text: str) -> Graph:
 
     One `u v` pair per whitespace-separated line; `#` starts a comment; an
     optional leading `n=<count>` line declares the vertex count (and with it
-    isolated vertices). Tokens that look like integers are read as integers.
+    isolated vertices). Each token is read by `parse_label`.
     """
     n: int | None = None
     pairs = []
@@ -226,8 +225,7 @@ def parse_edge_list(text: str) -> Graph:
         tokens = line.split()
         if len(tokens) != 2:
             raise MalformedInputError(f"line {lineno}: expected 'u v', got {line!r}")
-        pair = tuple(int(t) if t.lstrip("-").isdigit() else t for t in tokens)
-        pairs.append(pair)
+        pairs.append(tuple(parse_label(t) for t in tokens))
     return Graph.from_edge_list(pairs, n=n)
 
 

@@ -44,23 +44,25 @@ class ChainComplexRep:
                 raise AssertionError(f"boundary composition at dimension {k} is nonzero")
 
 
-def _build_chain_complex(
-    bases: Sequence[Sequence[Simplex]], dropped: frozenset[Simplex]
-) -> ChainComplexRep:
-    bases = tuple(tuple(sorted(level)) for level in bases)
-    index = [{s: i for i, s in enumerate(level)} for level in bases]
+def _chain_complex(complex: SimplicialComplex, basis: frozenset[Simplex]) -> ChainComplexRep:
+    """Chain complex on the given basis faces of a relative pair.
+
+    A signed facet enters a boundary column exactly when it is a basis face
+    one dimension down; the others lie in the excluded subcomplex.
+    """
+    bases = tuple(tuple(sorted(level)) for level in complex._by_dimension(basis))
     boundaries = []
     for k, level in enumerate(bases):
         if k == 0:
             boundaries.append(ExactMatrix.zeros(0, len(level)))
             continue
         entries: dict[tuple[int, int], int] = {}
-        lower = index[k - 1]
+        lower = {s: i for i, s in enumerate(bases[k - 1])}
         for col, simplex in enumerate(level):
             for sign, face in facets_with_signs(simplex):
-                if face in dropped:
-                    continue
-                entries[(lower[face], col)] = sign
+                row = lower.get(face)
+                if row is not None:
+                    entries[(row, col)] = sign
         boundaries.append(ExactMatrix(len(bases[k - 1]), len(level), entries))
     return ChainComplexRep(bases=bases, boundaries=tuple(boundaries))
 
@@ -72,12 +74,7 @@ def relative_chain_complex(complex: SimplicialComplex, excluded) -> ChainComplex
     )
     if not complex.is_closed(excluded_set):
         raise NotClosedError("excluded set must be a subcomplex (closed)")
-    dropped = excluded_set.members
-    bases = [
-        [s for s in complex.faces(k) if s not in dropped]
-        for k in range(complex.dim + 1)
-    ]
-    return _build_chain_complex(bases, dropped)
+    return _chain_complex(complex, excluded_set.complement().members)
 
 
 def betti(chain_complex: ChainComplexRep) -> BettiVector:
@@ -93,12 +90,7 @@ def _excised_chain_complex(complex: SimplicialComplex, open_set: SimplexSet) -> 
     """Chain complex of (cl U, fr U); its basis is exactly the faces of U."""
     closure = complex.closure(open_set)
     frontier = complex.frontier(open_set)
-    interior = closure.members - frontier.members
-    by_dim = {}
-    for s in interior:
-        by_dim.setdefault(len(s) - 1, []).append(s)
-    bases = [by_dim.get(k, []) for k in range(complex.dim + 1)]
-    return _build_chain_complex(bases, frontier.members)
+    return _chain_complex(complex, closure.members - frontier.members)
 
 
 def _require_open(complex: SimplicialComplex, subset) -> SimplexSet:
@@ -182,18 +174,6 @@ def homology_basis(complex: SimplicialComplex, open_set) -> HomologyBasis:
     return HomologyBasis(chain_bases=rep.bases, representatives=tuple(all_reps))
 
 
-def _restrict_vector(
-    vector: Sequence[int], source_basis: Sequence[Simplex], target_index: dict
-) -> list[int]:
-    out = [0] * len(target_index)
-    for coeff, simplex in zip(vector, source_basis):
-        if coeff:
-            pos = target_index.get(simplex)
-            if pos is not None:
-                out[pos] = coeff
-    return out
-
-
 def induced_map_matrix(
     complex: SimplicialComplex, larger, smaller, k: int
 ) -> ExactMatrix:
@@ -218,8 +198,10 @@ def induced_map_matrix(
     src_reps = src.representatives[k]
     tgt_reps = tgt.representatives[k]
     tgt_rep_obj = _excised_chain_complex(complex, v)
-    tgt_index = {s: i for i, s in enumerate(tgt.chain_bases[k])}
-    n_tgt_chains = len(tgt.chain_bases[k])
+    # V lies inside U, so every target chain face is a source chain face.
+    src_index = {s: i for i, s in enumerate(src.chain_bases[k])}
+    positions = [src_index[s] for s in tgt.chain_bases[k]]
+    n_tgt_chains = len(positions)
 
     columns: list[Sequence[object]] = [list(r) for r in tgt_reps]
     n_hom = len(columns)
@@ -229,8 +211,7 @@ def induced_map_matrix(
 
     out_columns = []
     for z in src_reps:
-        w = _restrict_vector(z, src.chain_bases[k], tgt_index)
-        coords = solve_in_image(span, w)
+        coords = solve_in_image(span, [z[p] for p in positions])
         if coords is None:
             raise AssertionError("projected cycle not expressible in target cycle space")
         out_columns.append(coords[:n_hom])

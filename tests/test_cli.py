@@ -241,6 +241,35 @@ def test_exit_code_unknown_simplex(tetra_json, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command, text, code",
+    [
+        # A list is not a hashable vertex label.
+        ("betti", '{"maximal_simplices": [[[1], 2]]}', 1),
+        ("local", '{"maximal_simplices": [[[1], 2]]}', 1),
+        # "--5" and "\u00b2" are string labels, not ids below a declared count.
+        ("flag", "n=4\n--5 3\n", 1),
+        ("flag", "n=4\n1 \u00b2\n", 1),
+        # String labels that no vertex of the complex carries.
+        ("local --simplex=--1", '{"maximal_simplices": [[0, 1]]}', 2),
+        ("local --simplex=\u00b2", '{"maximal_simplices": [[0, 1]]}', 2),
+    ],
+    ids=[
+        "betti-list", "local-list", "flag-dashes", "flag-superscript",
+        "simplex-dashes", "simplex-superscript",
+    ],
+)
+def test_bad_labels_exit_with_an_error_line(command, text, code, tmp_path, capsys):
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8")
+    name, *options = command.split()
+    got, out, err = run(capsys, name, str(path), *options)
+    assert got == code
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_exit_code_disconnected_correlate(tmp_path, capsys):
     edges = tmp_path / "edges.txt"
     edges.write_text("n=4\n0 1\n2 3\n", encoding="utf-8")

@@ -434,3 +434,5 @@ def test_json_malformed_rejected():
         complex_from_json_dict({"maximal_simplices": "nope"})
     with pytest.raises(MalformedInputError):
         complex_from_json_dict({"maximal_simplices": [[0, 1]], "labels": [0]})
+    with pytest.raises(MalformedInputError):
+        complex_from_json_dict({"maximal_simplices": [[0], [1]], "labels": ["a", "a"]})

@@ -16,6 +16,8 @@ from localhomology import (
     parse_edge_list,
 )
 
+from util import oracle_flag_complex
+
 
 @pytest.fixture
 def k4():
@@ -132,6 +134,19 @@ def test_flag_vertex_ids_match_graph_ids():
         assert (v,) in fc
 
 
+def test_flag_complex_equals_the_interning_route():
+    rng = random.Random(23)
+    graphs = [Graph(0, []), Graph(3, []), karate_graph()]
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        g = random_graph(rng, n, p=rng.choice([0.1, 0.3, 0.6]))
+        labels = rng.sample(list(range(-n, n)) + [f"v{i}" for i in range(n)], n)
+        graphs += [g, Graph(n, g.edges, labels=labels)]
+    for g in graphs:
+        ours, oracle = flag_complex(g), oracle_flag_complex(g)
+        assert (ours.maximal, ours.labels) == (oracle.maximal, oracle.labels)
+
+
 def test_flag_faces_are_exactly_cliques():
     rng = random.Random(3)
     for _ in range(15):
@@ -232,6 +247,18 @@ def test_edge_list_string_labels():
     g = parse_edge_list("alice bob\nbob carol\n")
     assert g.n == 3
     assert g.labels == ("alice", "bob", "carol")
+    # An optional minus and then digits is an integer; anything else is a string.
+    g = parse_edge_list("--5 3\n1 \u00b2\n-7 007\n")
+    assert g.labels == (3, "--5", 1, "\u00b2", -7, 7)
+
+
+def test_graph_labels_must_be_distinct_and_hashable():
+    with pytest.raises(MalformedInputError):
+        Graph(3, [(0, 1)], labels=["a", "a", "b"])
+    with pytest.raises(MalformedInputError):
+        Graph(2, [(0, 1)], labels=[[1], 2])
+    with pytest.raises(MalformedInputError):
+        Graph.from_edge_list([([1], 2)])
 
 
 def test_edge_list_malformed():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from localhomology import (
+    ChainComplexRep,
     ExactMatrix,
     NotClosedError,
     NotOpenError,
@@ -22,12 +23,14 @@ from localhomology import (
     reduced_betti,
     relative_chain_complex,
 )
+from localhomology.homology import _excised_chain_complex
 
 from util import (
     annulus_complex,
     apply,
     graph_as_one_complex,
     hstack,
+    oracle_chain_complex,
     projective_plane,
     random_complex,
     random_connected_graph,
@@ -86,6 +89,24 @@ def test_boundary_composition_is_zero_on_random_pairs():
         closed = x.closure(random_open_set(rng, x).complement())
         rep = relative_chain_complex(x, closed)
         rep.validate()
+
+
+def test_chain_complexes_equal_the_definition():
+    # The pair (X, Y) has basis X minus Y; the excised pair (cl U, fr U) has
+    # basis U. Each boundary keeps the facets that are basis faces.
+    rng = random.Random(19)
+    empty = SimplicialComplex.from_maximal([])
+    assert relative_chain_complex(empty, []) == ChainComplexRep(bases=(), boundaries=())
+    assert _excised_chain_complex(empty, empty.empty_set()) == ChainComplexRep(bases=(), boundaries=())
+    for x in [empty, tetrahedron_boundary()] + [random_complex(rng) for _ in range(40)]:
+        faces = sorted(x.all_faces())
+        closed = x.closure(rng.sample(faces, rng.randint(0, len(faces))))
+        assert relative_chain_complex(x, closed) == oracle_chain_complex(x, set(faces) - closed.members)
+        open_sets = [random_open_set(rng, x), x.empty_set()]
+        if faces:
+            open_sets.append(x.star([rng.choice(sorted(x.maximal))]))
+        for u in open_sets:
+            assert _excised_chain_complex(x, u) == oracle_chain_complex(x, u.members)
 
 
 def test_relative_requires_closed_set():
@@ -241,8 +262,6 @@ def test_degree_three_star_has_two_relative_cycles():
     assert basis.betti()[1] == 2
     # Each representative is a relative cycle: the relative boundary map
     # sends it to zero once frontier faces are dropped.
-    from localhomology.homology import _excised_chain_complex
-
     rep_complex = _excised_chain_complex(x, star)
     for vec in basis.representatives[1]:
         assert all(x == 0 for x in apply(rep_complex.boundaries[1], vec))

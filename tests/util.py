@@ -15,7 +15,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
-from localhomology import ExactMatrix, Graph, SimplicialComplex
+from localhomology import ChainComplexRep, ExactMatrix, Graph, SimplicialComplex, maximal_cliques
 
 # -- random structures -------------------------------------------------------
 
@@ -232,6 +232,38 @@ def naive_contains(complex: SimplicialComplex, simplex) -> bool:
     if not isinstance(simplex, tuple) or not simplex:
         return False
     return any(set(simplex) <= set(m) for m in complex.maximal)
+
+
+def oracle_chain_complex(complex: SimplicialComplex, basis) -> ChainComplexRep:
+    """Chain complex on the given basis faces, from the definition.
+
+    Per dimension the basis faces come in lexicographic order, and the
+    boundary of a face has the entry (-1)^i at the face that drops its
+    i-th vertex, when that face is a basis face; other facets are left out.
+    """
+    basis = set(basis)
+    bases = tuple(
+        tuple(sorted(s for s in basis if len(s) == k + 1)) for k in range(complex.dim + 1)
+    )
+    boundaries = []
+    for k, columns in enumerate(bases):
+        rows = bases[k - 1] if k > 0 else ()
+        entries = {}
+        for col, simplex in enumerate(columns):
+            for i in range(len(simplex)):
+                face = simplex[:i] + simplex[i + 1:]
+                if face in rows:
+                    entries[(rows.index(face), col)] = (-1) ** i
+        boundaries.append(ExactMatrix(len(rows), len(columns), entries))
+    return ChainComplexRep(bases=bases, boundaries=tuple(boundaries))
+
+
+def oracle_flag_complex(graph: Graph) -> SimplicialComplex:
+    """Flag complex through label interning: every vertex as a singleton, then
+    every maximal clique by its labels, so interned ids are the graph's ids."""
+    singletons = [[graph.labels[v]] for v in range(graph.n)]
+    cliques = [[graph.labels[v] for v in clique] for clique in maximal_cliques(graph)]
+    return SimplicialComplex.from_maximal(singletons + cliques)
 
 
 def naive_maximal(simplices) -> set[frozenset]:
