@@ -33,7 +33,6 @@ def neighborhood(complex: SimplicialComplex, seed, m: int) -> SimplexSet:
 class NeighborhoodFiltration:
     """Monotone sequence of open neighborhoods around a seed set."""
 
-    seed: SimplexSet
     levels: tuple[SimplexSet, ...]
 
     def __len__(self) -> int:
@@ -41,11 +40,10 @@ class NeighborhoodFiltration:
 
 
 def neighborhood_filtration(complex: SimplicialComplex, seed, m_max: int) -> NeighborhoodFiltration:
-    seed_set = seed if isinstance(seed, SimplexSet) else complex.simplex_set(seed)
-    levels = [complex.star(seed_set)]
+    levels = [complex.star(seed)]
     for _ in range(m_max):
         levels.append(complex.star(complex.closure(levels[-1])))
-    return NeighborhoodFiltration(seed=seed_set, levels=tuple(levels))
+    return NeighborhoodFiltration(levels=tuple(levels))
 
 
 def _classify_vector(values: BettiVector, n: int) -> str:
@@ -168,7 +166,7 @@ def profiles_to_csv(complex: SimplicialComplex, profiles: Sequence[LocalProfile]
     comma-joined vertex id list.
     """
     top = complex.dim
-    header = "simplex;dim;m;" + ";".join(f"beta_{k}" for k in range(top + 1)) + ";class"
+    header = ";".join(["simplex", "dim", "m", *(f"beta_{k}" for k in range(top + 1)), "class"])
     lines = [header]
     for profile in profiles:
         simplex_text = ",".join(str(v) for v in profile.simplex)

@@ -59,10 +59,6 @@ def intern_labels(
     return tuple(intern), ids
 
 
-def simplex_dimension(simplex: Simplex) -> int:
-    return len(simplex) - 1
-
-
 def facets_with_signs(simplex: Simplex) -> list[tuple[int, Simplex]]:
     """Codimension-one faces with their orientation signs.
 
@@ -352,9 +348,6 @@ class SimplexSet:
     def __contains__(self, simplex) -> bool:
         return simplex in self.members
 
-    def __le__(self, other: "SimplexSet") -> bool:
-        return self.members <= other.members
-
     def _check_host(self, other: "SimplexSet") -> None:
         if self.complex is not other.complex:
             raise ValueError("simplex sets belong to different complexes")
@@ -366,10 +359,6 @@ class SimplexSet:
     def __and__(self, other: "SimplexSet") -> "SimplexSet":
         self._check_host(other)
         return SimplexSet(self.complex, self.members & other.members)
-
-    def __sub__(self, other: "SimplexSet") -> "SimplexSet":
-        self._check_host(other)
-        return SimplexSet(self.complex, self.members - other.members)
 
     def complement(self) -> "SimplexSet":
         return SimplexSet(self.complex, self.complex._all_faces_set() - self.members)
@@ -430,10 +419,10 @@ def complex_from_json_dict(data: dict) -> SimplicialComplex:
         labels = data["labels"]
         if not isinstance(labels, list):
             raise MalformedInputError("'labels' must be a list")
-        try:
-            relabeled = [[labels[v] for v in s] for s in maximal]
-        except (TypeError, IndexError) as exc:
-            raise MalformedInputError("simplex refers to a vertex id outside 'labels'") from exc
+        for v in chain.from_iterable(maximal):
+            if type(v) is not int or not 0 <= v < len(labels):  # type(True) is bool
+                raise MalformedInputError(f"vertex id {v!r} is not an index into 'labels'")
+        relabeled = [[labels[v] for v in s] for s in maximal]
         # Feeding each vertex as a singleton first pins the interned id of
         # labels[i] to i, so canonical files round-trip exactly.
         singletons = [[label] for label in labels]

@@ -12,7 +12,6 @@ must produce the same Betti numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .complexes import Simplex, SimplexSet, SimplicialComplex, facets_with_signs
 from .errors import NotClosedError, NotOpenError, PreconditionError, UnknownSimplexError
@@ -163,11 +162,10 @@ def homology_basis(complex: SimplicialComplex, open_set) -> HomologyBasis:
     rep = _excised_chain_complex(complex, u)
     all_reps = []
     for k in range(len(rep.bases)):
-        n_k = len(rep.bases[k])
         cycles = kernel_basis(rep.boundaries[k])
-        chooser = IncrementalRank(n_k)
+        chooser = IncrementalRank()
         if k + 1 < len(rep.bases):
-            for column in rep.boundaries[k + 1].columns_as_vectors():
+            for column in rep.boundaries[k + 1].columns.values():
                 chooser.add(column)
         chosen = [z for z in cycles if chooser.add(z)]
         all_reps.append(tuple(chosen))
@@ -203,10 +201,10 @@ def induced_map_matrix(
     positions = [src_index[s] for s in tgt.chain_bases[k]]
     n_tgt_chains = len(positions)
 
-    columns: list[Sequence[object]] = [list(r) for r in tgt_reps]
+    columns = list(tgt_reps)
     n_hom = len(columns)
     if k + 1 < len(tgt_rep_obj.bases):
-        columns.extend(tgt_rep_obj.boundaries[k + 1].columns_as_vectors())
+        columns.extend(tgt_rep_obj.boundaries[k + 1].columns.values())
     span = ExactMatrix.from_columns(columns, n_tgt_chains)
 
     out_columns = []

@@ -1,7 +1,8 @@
 """Exact linear algebra over the rationals.
 
 All Betti-number computations in this package reduce to ranks, kernels and
-solves on sparse signed incidence matrices. They share one exact
+solves on sparse signed incidence matrices. An `ExactMatrix` stores its
+nonzero columns, the form those computations read, and they share one exact
 elimination loop, `_reduce`: each column is scaled to integers by the lcm of
 its denominators (an all-`int` column is copied as it is), and the columns
 are reduced left to right by their lowest nonzero row, the standard
@@ -26,45 +27,58 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 
 class ExactMatrix:
-    """Sparse matrix with exact rational entries.
+    """Sparse matrix with exact rational entries, stored by column.
 
-    Entries map (row, col) -> int or Fraction with zeros omitted: int values
-    stay int, others become Fraction, and since Fraction(1) == 1 with equal
-    hashes, equality and hashing ignore which. Immutable once constructed;
-    the tagged pivots that `solve_in_image` builds on first use are a cache
-    of a value determined by the entries, so concurrent readers are safe.
-    The methods are the ones the library needs: construction, dense columns
-    for the homology bases, and the product behind
-    `ChainComplexRep.validate`.
+    `columns` maps each column index to that column's nonzero entries,
+    {row: value}; all-zero columns are absent. Values given as int stay int,
+    others become Fraction, and since Fraction(1) == 1 with equal hashes,
+    equality and hashing ignore which. `entries`, the (row, col) -> value
+    map, is built from the columns on each access. Immutable once
+    constructed: nothing here or in the reductions writes to the stored
+    columns, and the tagged pivots that `solve_in_image` builds on first use
+    are a cache of a value determined by them, so concurrent readers are safe.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_solve_pivots")
+    __slots__ = ("rows", "cols", "columns", "_solve_pivots")
 
     def __init__(self, rows: int, cols: int, entries: Mapping[tuple, object] | None = None):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
         self.rows = rows
         self.cols = cols
-        clean: dict[tuple[int, int], Fraction | int] = {}
+        columns: dict[int, dict[int, Fraction | int]] = {}
         for (i, j), value in (entries or {}).items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry position ({i}, {j}) outside {rows}x{cols} matrix")
             q = value if type(value) is int else Fraction(value)
             if q:
-                clean[(i, j)] = q
-        self.entries = clean
+                columns.setdefault(j, {})[i] = q
+        self.columns = columns
         self._solve_pivots: dict[int, dict[int, int]] | None = None
 
     @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[object]], rows: int) -> "ExactMatrix":
-        if any(len(col) != rows for col in columns):
-            raise ValueError("column of wrong length")
-        entries = {(i, j): v for j, col in enumerate(columns) for i, v in enumerate(col) if v}
+    def from_columns(
+        cls, columns: Sequence[Sequence[object] | dict[int, object]], rows: int
+    ) -> "ExactMatrix":
+        """The matrix whose j-th column is columns[j]: a dense sequence of
+        length `rows`, or a {row: value} dict of its entries."""
+        entries = {}
+        for j, column in enumerate(columns):
+            if not isinstance(column, dict):
+                if len(column) != rows:
+                    raise ValueError("column of wrong length")
+                column = {i: v for i, v in enumerate(column) if v}
+            entries.update(((i, j), v) for i, v in column.items())
         return cls(rows, len(columns), entries)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(rows, cols, {})
+        return cls(rows, cols)
+
+    @property
+    def entries(self) -> dict[tuple[int, int], Fraction | int]:
+        """(row, col) -> value for every nonzero entry, as a new dict."""
+        return {(i, j): v for j, column in self.columns.items() for i, v in column.items()}
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -72,15 +86,15 @@ class ExactMatrix:
 
     @property
     def nnz(self) -> int:
-        return len(self.entries)
+        return sum(map(len, self.columns.values()))
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.columns
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.shape == other.shape and self.entries == other.entries
+        return self.shape == other.shape and self.columns == other.columns
 
     def __hash__(self):
         return hash((self.rows, self.cols, frozenset(self.entries.items())))
@@ -88,40 +102,19 @@ class ExactMatrix:
     def __repr__(self) -> str:
         return f"ExactMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
-    def columns_as_vectors(self) -> list[tuple[Fraction | int, ...]]:
-        """Dense columns; absent entries are the int 0."""
-        columns = [[0] * self.rows for _ in range(self.cols)]
-        for (i, j), v in self.entries.items():
-            columns[j][i] = v
-        return [tuple(column) for column in columns]
-
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
+        """Column j of the product is the sum of w * column k of self over
+        the entries w at (k, j) of other."""
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
-        by_row: dict[int, dict[int, Fraction | int]] = {}
-        for (i, k), v in self.entries.items():
-            by_row.setdefault(i, {})[k] = v
-        other_rows: dict[int, dict[int, Fraction | int]] = {}
-        for (k, j), w in other.entries.items():
-            other_rows.setdefault(k, {})[j] = w
-        entries: dict[tuple[int, int], Fraction | int] = {}
-        for i, row in by_row.items():
+        columns = []
+        for j in range(other.cols):
             acc: dict[int, Fraction | int] = {}
-            for k, v in row.items():
-                for j, w in other_rows.get(k, {}).items():
-                    acc[j] = acc.get(j, 0) + v * w
-            for j, s in acc.items():
-                if s:
-                    entries[(i, j)] = s
-        return ExactMatrix(self.rows, other.cols, entries)
-
-
-def _columns(matrix: ExactMatrix) -> dict[int, dict[int, Fraction | int]]:
-    """The nonzero columns of the matrix, keyed by column index."""
-    columns: dict[int, dict[int, Fraction | int]] = {}
-    for (i, j), v in matrix.entries.items():
-        columns.setdefault(j, {})[i] = v
-    return columns
+            for k, w in other.columns.get(j, {}).items():
+                for i, v in self.columns.get(k, {}).items():
+                    acc[i] = acc.get(i, 0) + v * w
+            columns.append(acc)
+        return ExactMatrix.from_columns(columns, self.rows)
 
 
 def _sparse(vector: Iterable[object]) -> dict[int, Fraction | int]:
@@ -199,11 +192,10 @@ def _tagged_reduction(matrix: ExactMatrix) -> tuple[dict[int, dict[int, int]], l
     Returns the pivots and what is left of each column whose rows all
     cancel: its tags, the coefficients of a kernel vector.
     """
-    columns = _columns(matrix)
     pivots: dict[int, dict[int, int]] = {}
     cancelled = []
     for j in range(matrix.cols):
-        col = _integer_column(columns.get(j, {}), -1 - j)
+        col = _integer_column(matrix.columns.get(j, {}), -1 - j)
         if not _add_pivot(col, pivots):
             cancelled.append(col)
     return pivots, cancelled
@@ -217,12 +209,11 @@ def rank(matrix: ExactMatrix) -> int:
     column i at j's lowest row, is nonzero. Reduced nonzero columns have
     distinct lowest rows, so they are independent and their count is the rank.
     """
-    columns = _columns(matrix)
     pivots: dict[int, dict[int, int]] = {}
-    for j in sorted(columns):
+    for j in sorted(matrix.columns):
         if len(pivots) == matrix.rows:
             break  # every row is a pivot, so every later column reduces to zero
-        _add_pivot(_integer_column(columns[j]), pivots)
+        _add_pivot(_integer_column(matrix.columns[j]), pivots)
     return len(pivots)
 
 
@@ -275,13 +266,19 @@ class IncrementalRank:
     then keep exactly the cycle vectors that still increase the rank.
     """
 
-    def __init__(self, length: int):
-        self.length = length
+    def __init__(self):
         self._pivots: dict[int, dict[int, int]] = {}  # lowest row -> reduced column
 
     @property
     def rank(self) -> int:
         return len(self._pivots)
 
-    def add(self, vector: Iterable[object]) -> bool:
-        return _add_pivot(_integer_column(_sparse(vector)), self._pivots)
+    def add(self, vector: Sequence[object] | dict[int, Fraction | int]) -> bool:
+        """True when the vector raises the rank; it is then kept.
+
+        The vector is a dense sequence, or a column as `ExactMatrix.columns`
+        stores it (a dict of nonzero int or Fraction values by row), which
+        is read and never modified.
+        """
+        column = vector if isinstance(vector, dict) else _sparse(vector)
+        return _add_pivot(_integer_column(column), self._pivots)

@@ -126,6 +126,11 @@ def test_profiles_csv_shape(five_path):
     assert lines[1].startswith("0;0;0;")
 
 
+def test_profiles_csv_header_without_faces():
+    empty = SimplicialComplex.from_maximal([])
+    assert profiles_to_csv(empty, profile_many(empty)) == "simplex;dim;m;class\n"
+
+
 # -- generalized degree ------------------------------------------------------
 
 

@@ -436,3 +436,8 @@ def test_json_malformed_rejected():
         complex_from_json_dict({"maximal_simplices": [[0, 1]], "labels": [0]})
     with pytest.raises(MalformedInputError):
         complex_from_json_dict({"maximal_simplices": [[0], [1]], "labels": ["a", "a"]})
+    # A vertex id must be a non-bool int indexing "labels": no wrap-around,
+    # and JSON true is not the id 1.
+    for bad in ([-1, 0], [True, 0], [0, 2], [0.0, 1], ["0", 1]):
+        with pytest.raises(MalformedInputError):
+            complex_from_json_dict({"maximal_simplices": [bad], "labels": ["a", "b"]})

@@ -17,6 +17,7 @@ from util import (
     apply,
     from_rows,
     identity_matrix,
+    oracle_matmul,
     oracle_rank_dense,
     oracle_rank_minors,
     to_dense,
@@ -36,6 +37,9 @@ def test_entry_bounds_rejected():
         ExactMatrix(2, 2, {(2, 0): 1})
     with pytest.raises(ValueError):
         ExactMatrix(2, 2, {(0, -1): 1})
+    for column in ({2: 1}, {-1: 1}, [1, 0, 0]):
+        with pytest.raises(ValueError):
+            ExactMatrix.from_columns([column], 2)
 
 
 def test_rank_zero_matrix():
@@ -228,7 +232,7 @@ def test_matmul_and_apply_agree():
 
 
 def test_incremental_rank():
-    inc = IncrementalRank(3)
+    inc = IncrementalRank()
     assert inc.add([1, 0, 0])
     assert not inc.add([2, 0, 0])
     assert inc.add([1, 1, 0])
@@ -239,7 +243,7 @@ def test_incremental_rank():
     rng = random.Random(37)
     for _ in range(20):
         length = rng.randint(1, 6)
-        inc = IncrementalRank(length)
+        inc = IncrementalRank()
         accepted = []
         for _ in range(10):
             if accepted and rng.random() < 0.5:
@@ -304,3 +308,63 @@ def test_int_and_fraction_copies_reduce_alike():
         x0 = [rng.randint(-3, 3) for _ in range(ints.cols)]
         for target in (apply(ints, x0), [rng.randint(-3, 3) for _ in range(ints.rows)]):
             assert solve_in_image(ints, target) == solve_in_image(fracs, target)
+
+
+# -- storage by column ---------------------------------------------------------
+
+ENTRY_CHOICES = [0, 0, 0, 1, -1, 2, -5, Fraction(1, 2), Fraction(-2, 3), Fraction(4), 1.5]
+
+
+def test_three_constructions_agree_and_entries_round_trip():
+    # From (row, col) entries, dense columns and {row: value} columns (with
+    # some explicit zeros) the same matrix comes out, holding only its
+    # nonzero columns; entries rebuilds it, and A @ B matches the dense oracle.
+    rng = random.Random(53)
+    for _ in range(80):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+        dense = [[rng.choice(ENTRY_CHOICES) for _ in range(cols)] for _ in range(rows)]
+        dense_columns = [[dense[i][j] for i in range(rows)] for j in range(cols)]
+        dict_columns = [
+            {i: v for i, v in enumerate(column) if v or rng.random() < 0.3}
+            for column in dense_columns
+        ]
+        nonzero = {(i, j): v for i, row in enumerate(dense) for j, v in enumerate(row) if v}
+        m = ExactMatrix(rows, cols, nonzero)
+        assert m == ExactMatrix.from_columns(dense_columns, rows)
+        assert m == ExactMatrix.from_columns(dict_columns, rows)
+        assert m.shape == (rows, cols) and m.nnz == len(nonzero)
+        assert all(m.columns.values()) and all(0 <= j < cols for j in m.columns)
+        assert m.entries == nonzero and ExactMatrix(rows, cols, m.entries) == m
+        # Integer values stored as Fraction: equal, and hashed alike.
+        as_fraction = {p: Fraction(v) if v == int(v) else v for p, v in nonzero.items()}
+        assert ExactMatrix(rows, cols, as_fraction) == m
+        assert hash(ExactMatrix(rows, cols, as_fraction)) == hash(m)
+        inner = rng.randint(0, 4)
+        other = [[rng.choice(ENTRY_CHOICES) for _ in range(inner)] for _ in range(cols)]
+        assert to_dense(m @ from_rows(other, inner)) == oracle_matmul(dense, other, inner)
+
+
+def test_reductions_leave_stored_columns_alone():
+    # rank, kernel_basis, two solves and IncrementalRank fed the stored
+    # columns themselves: afterwards the matrix still equals an independent
+    # copy, column by column and entry by entry type. Entries in +-5 force
+    # non-unit pivot steps, which scale columns in place.
+    rng = random.Random(59)
+    datasets = [to_dense(relative_chain_complex(torus_complex(), []).boundaries[2])]
+    for _ in range(40):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        datasets.append([[rng.choice(ENTRY_CHOICES) for _ in range(cols)] for _ in range(rows)])
+    for data in datasets:
+        m, copy = from_rows(data), from_rows(data)
+        types = {p: type(v) for p, v in copy.entries.items()}
+        m.entries.clear()  # entries is a new dict, not the storage
+        rank(m)
+        kernel_basis(m)
+        for _ in range(2):
+            solve_in_image(m, [rng.randint(-3, 3) for _ in range(m.rows)])
+        inc = IncrementalRank()
+        for column in m.columns.values():
+            inc.add(column)
+        assert inc.rank == rank(copy)
+        assert m == copy and m.columns == copy.columns
+        assert {p: type(v) for p, v in m.entries.items()} == types

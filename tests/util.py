@@ -198,6 +198,14 @@ def apply(matrix: ExactMatrix, vector) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def oracle_matmul(left, right, cols: int) -> list[list[Fraction]]:
+    """Product of dense matrices (lists of rows; right has `cols` columns), by the triple loop."""
+    return [
+        [sum((Fraction(a) * Fraction(right[k][j]) for k, a in enumerate(row)), Fraction(0)) for j in range(cols)]
+        for row in left
+    ]
+
+
 def hstack(left: ExactMatrix, right: ExactMatrix) -> ExactMatrix:
     if left.rows != right.rows:
         raise ValueError("row counts differ")
