@@ -97,9 +97,6 @@ class Graph:
         """Subgraph induced by the neighbors of v; excludes v itself."""
         return self.induced_subgraph(self.neighbors(v))
 
-    def closed_neighborhood(self, v: int) -> "Graph":
-        return self.induced_subgraph(set(self.neighbors(v)) | {v})
-
     def clustering_coefficient(self, v: int) -> Fraction:
         """Edge density of the open neighborhood, exact; 0 when deg v < 2."""
         nbrs = self.neighbors(v)

@@ -144,13 +144,14 @@ def reduced_betti(complex: SimplicialComplex) -> BettiVector:
 class HomologyBasis:
     """Cycle representatives spanning each local homology space.
 
-    chain_bases[k] lists the k-simplices of the open set in the coordinate
-    order used by representatives[k]; each representative is an integer
-    relative cycle and the representatives are independent modulo boundaries.
+    chain_bases[k] lists the k-simplices of the open set; each representative
+    in representatives[k] is an integer relative cycle, a dict {position in
+    chain_bases[k]: coefficient} of its nonzero coefficients, and the
+    representatives are independent modulo boundaries.
     """
 
     chain_bases: tuple[tuple[Simplex, ...], ...]
-    representatives: tuple[tuple[tuple[int, ...], ...], ...]
+    representatives: tuple[tuple[dict[int, int], ...], ...]
 
     def betti(self) -> BettiVector:
         return tuple(len(reps) for reps in self.representatives)
@@ -198,21 +199,20 @@ def induced_map_matrix(
     tgt_rep_obj = _excised_chain_complex(complex, v)
     # V lies inside U, so every target chain face is a source chain face.
     src_index = {s: i for i, s in enumerate(src.chain_bases[k])}
-    positions = [src_index[s] for s in tgt.chain_bases[k]]
-    n_tgt_chains = len(positions)
+    to_target = {src_index[s]: t for t, s in enumerate(tgt.chain_bases[k])}
 
     columns = list(tgt_reps)
     n_hom = len(columns)
     if k + 1 < len(tgt_rep_obj.bases):
         columns.extend(tgt_rep_obj.boundaries[k + 1].columns.values())
-    span = ExactMatrix.from_columns(columns, n_tgt_chains)
+    span = ExactMatrix.from_columns(columns, len(to_target))
 
     out_columns = []
     for z in src_reps:
-        coords = solve_in_image(span, [z[p] for p in positions])
+        coords = solve_in_image(span, {to_target[p]: v for p, v in z.items() if p in to_target})
         if coords is None:
             raise AssertionError("projected cycle not expressible in target cycle space")
-        out_columns.append(coords[:n_hom])
+        out_columns.append({j: v for j, v in coords.items() if j < n_hom})
     return ExactMatrix.from_columns(out_columns, n_hom)
 
 

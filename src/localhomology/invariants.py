@@ -32,26 +32,11 @@ class VertexScores:
     name: str
     values: tuple[float, ...]
 
-    def to_csv(self, labels=None) -> str:
-        lines = ["vertex,score"]
-        for v, score in enumerate(self.values):
-            label = labels[v] if labels is not None else v
-            lines.append(f"{label},{score:.10g}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class EdgeScores:
     name: str
     values: dict[tuple[int, int], float]
-
-    def to_csv(self, labels=None) -> str:
-        lines = ["u,v,score"]
-        for (u, v) in sorted(self.values):
-            lu = labels[u] if labels is not None else u
-            lv = labels[v] if labels is not None else v
-            lines.append(f"{lu},{lv},{self.values[(u, v)]:.10g}")
-        return "\n".join(lines) + "\n"
 
 
 def degree_centrality(graph: Graph) -> VertexScores:

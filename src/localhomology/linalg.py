@@ -1,16 +1,17 @@
 """Exact linear algebra over the rationals.
 
 All Betti-number computations in this package reduce to ranks, kernels and
-solves on sparse signed incidence matrices. An `ExactMatrix` stores its
-nonzero columns, the form those computations read, and they share one exact
-elimination loop, `_reduce`: each column is scaled to integers by the lcm of
-its denominators (an all-`int` column is copied as it is), and the columns
-are reduced left to right by their lowest nonzero row, the standard
-boundary-matrix reduction, done fraction-free so every entry stays a Python
-`int`. For kernels and solves each column also carries tags that record the
-column operations applied to it (R = D V); a column whose rows all cancel
-leaves a kernel vector, or a solution, in its tags. No tolerance tuning is
-ever needed.
+solves on sparse signed incidence matrices. Vectors, and the columns an
+`ExactMatrix` stores, have one form: {index: value} dicts of nonzero `int`
+or `Fraction` values, to which every input is brought by the rule of
+`_vector`. The computations share one exact elimination loop, `_reduce`:
+each column is scaled to integers by the lcm of its denominators (an
+all-`int` column is copied as it is), and the columns are reduced left to
+right by their lowest nonzero row, the standard boundary-matrix reduction,
+done fraction-free so every entry stays a Python `int`. For kernels and
+solves each column also carries tags that record the column operations
+applied to it (R = D V); a column whose rows all cancel leaves a kernel
+vector, or a solution, in its tags. No tolerance tuning is ever needed.
 
 A matrix is reduced for solving once: the first `solve_in_image` on an
 `ExactMatrix` keeps its tagged pivots on the matrix, and every later solve
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 
 class ExactMatrix:
@@ -57,18 +58,9 @@ class ExactMatrix:
         self._solve_pivots: dict[int, dict[int, int]] | None = None
 
     @classmethod
-    def from_columns(
-        cls, columns: Sequence[Sequence[object] | dict[int, object]], rows: int
-    ) -> "ExactMatrix":
-        """The matrix whose j-th column is columns[j]: a dense sequence of
-        length `rows`, or a {row: value} dict of its entries."""
-        entries = {}
-        for j, column in enumerate(columns):
-            if not isinstance(column, dict):
-                if len(column) != rows:
-                    raise ValueError("column of wrong length")
-                column = {i: v for i, v in enumerate(column) if v}
-            entries.update(((i, j), v) for i, v in column.items())
+    def from_columns(cls, columns: Sequence[Mapping[int, object]], rows: int) -> "ExactMatrix":
+        """The matrix whose j-th column is the {row: value} vector columns[j]."""
+        entries = {(i, j): v for j, column in enumerate(columns) for i, v in column.items()}
         return cls(rows, len(columns), entries)
 
     @classmethod
@@ -117,11 +109,22 @@ class ExactMatrix:
         return ExactMatrix.from_columns(columns, self.rows)
 
 
-def _sparse(vector: Iterable[object]) -> dict[int, Fraction | int]:
-    """Nonzero entries by position; int and Fraction entries are kept as they are."""
-    return {
-        i: v if isinstance(v, (int, Fraction)) else Fraction(v) for i, v in enumerate(vector) if v
-    }
+def _vector(vector: Mapping[int, object], size: int | None = None) -> dict[int, Fraction | int]:
+    """The nonzero entries of an {index: value} vector, as a new dict.
+
+    The one input rule, which `ExactMatrix.__init__` applies to each entry:
+    an index must lie in range(size), or be non-negative without a size
+    (keys below zero are tags); zeros are dropped, `int` values stay `int`,
+    others become `Fraction`.
+    """
+    out = {}
+    for i, value in vector.items():
+        if i < 0 or (size is not None and i >= size):
+            raise ValueError(f"vector index {i} out of range")
+        q = value if type(value) is int else Fraction(value)
+        if q:
+            out[i] = q
+    return out
 
 
 def _integer_column(column: Mapping[int, Fraction | int], tag: int | None = None) -> dict[int, int]:
@@ -217,46 +220,40 @@ def rank(matrix: ExactMatrix) -> int:
     return len(pivots)
 
 
-def kernel_basis(matrix: ExactMatrix) -> list[tuple[int, ...]]:
+def kernel_basis(matrix: ExactMatrix) -> list[dict[int, int]]:
     """Basis of the right null space, one primitive integer vector per non-pivot column.
 
-    The vector of column j is nonzero at j, positive there, and otherwise
-    supported on pivot columns left of j, so the vectors are independent.
+    Each is a {column: value} vector. That of column j is nonzero at j,
+    positive there, and otherwise supported on pivot columns left of j, so
+    the vectors are independent.
     """
     basis = []
     for tags in _tagged_reduction(matrix)[1]:
         g = gcd(*tags.values())
-        vec = [0] * matrix.cols
-        for tag, v in tags.items():
-            vec[-1 - tag] = v // g
-        basis.append(tuple(vec))
+        basis.append({-1 - tag: v // g for tag, v in tags.items()})
     return basis
 
 
-def solve_in_image(matrix: ExactMatrix, target: Sequence[object]) -> Optional[tuple[Fraction, ...]]:
+def solve_in_image(matrix: ExactMatrix, target: Mapping[int, object]) -> Optional[dict[int, Fraction]]:
     """Some x with matrix @ x = target, or None when target is outside the image.
 
-    x is supported on the pivot columns, those independent of the columns
-    left of them, so the returned solution is deterministic. The matrix's
-    columns are reduced on the first solve and the pivots kept on it; the
-    target is reduced against them but never added, so every solve on the
-    same matrix sees the same pivots.
+    target is a {row: value} vector; x, a {column: value} vector, is
+    supported on the pivot columns, those independent of the columns left
+    of them, so the returned solution is deterministic. The matrix's columns
+    are reduced on the first solve and the pivots kept on it; the target is
+    reduced against them but never added, so every solve on the same matrix
+    sees the same pivots.
     """
-    if len(target) != matrix.rows:
-        raise ValueError("target length does not match row count")
+    n = matrix.cols
+    col = _integer_column(_vector(target, matrix.rows), -1 - n)
     pivots = matrix._solve_pivots
     if pivots is None:
         # Built in full before it is stored; a racing solve stores an equal value.
         pivots = matrix._solve_pivots = _tagged_reduction(matrix)[0]
-    n = matrix.cols
-    col = _integer_column(_sparse(target), -1 - n)
     if _reduce(col, pivots) is not None:
         return None
     own = col.pop(-1 - n)  # the rows cancel: matrix @ tags + own * target = 0
-    x = [Fraction(0)] * n
-    for tag, v in col.items():
-        x[-1 - tag] = Fraction(-v, own)
-    return tuple(x)
+    return {-1 - tag: Fraction(-v, own) for tag, v in col.items()}
 
 
 class IncrementalRank:
@@ -273,12 +270,9 @@ class IncrementalRank:
     def rank(self) -> int:
         return len(self._pivots)
 
-    def add(self, vector: Sequence[object] | dict[int, Fraction | int]) -> bool:
-        """True when the vector raises the rank; it is then kept.
+    def add(self, vector: Mapping[int, object]) -> bool:
+        """True when the {index: value} vector raises the rank; it is then kept.
 
-        The vector is a dense sequence, or a column as `ExactMatrix.columns`
-        stores it (a dict of nonzero int or Fraction values by row), which
-        is read and never modified.
+        The vector, such as a column of `ExactMatrix.columns`, is only read.
         """
-        column = vector if isinstance(vector, dict) else _sparse(vector)
-        return _add_pivot(_integer_column(column), self._pivots)
+        return _add_pivot(_integer_column(_vector(vector)), self._pivots)

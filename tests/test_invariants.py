@@ -268,12 +268,3 @@ def test_all_scores_non_negative():
         ):
             assert all(value >= 0 for value in fn(g).values)
         assert all(value >= 0 for value in betweenness_edge(g).values.values())
-
-
-def test_scores_csv_shapes(path3):
-    text = degree_centrality(path3).to_csv()
-    assert text.splitlines()[0] == "vertex,score"
-    assert len(text.splitlines()) == 4
-    etext = betweenness_edge(path3).to_csv()
-    assert etext.splitlines()[0] == "u,v,score"
-    assert len(etext.splitlines()) == 3

@@ -15,11 +15,13 @@ from localhomology.linalg import IncrementalRank
 
 from util import (
     apply,
+    dense_vector,
     from_rows,
     identity_matrix,
     oracle_matmul,
     oracle_rank_dense,
     oracle_rank_minors,
+    sparse_vector,
     to_dense,
     torus_complex,
     transpose,
@@ -37,7 +39,7 @@ def test_entry_bounds_rejected():
         ExactMatrix(2, 2, {(2, 0): 1})
     with pytest.raises(ValueError):
         ExactMatrix(2, 2, {(0, -1): 1})
-    for column in ({2: 1}, {-1: 1}, [1, 0, 0]):
+    for column in ({2: 1}, {-1: 1}, {2: 0}):
         with pytest.raises(ValueError):
             ExactMatrix.from_columns([column], 2)
 
@@ -141,8 +143,8 @@ def test_kernel_of_circle_boundary():
     basis = kernel_basis(boundary)
     assert len(basis) == 1
     (cycle,) = basis
-    assert all(x == 0 for x in apply(boundary, cycle))
-    assert all(x != 0 for x in cycle)
+    assert all(x == 0 for x in apply(boundary, dense_vector(cycle, 3)))
+    assert cycle == {0: 1, 1: -1, 2: 1}  # ab - ac + bc, positive at its own column bc
 
 
 def random_fraction_matrix(rng, rows, cols) -> ExactMatrix:
@@ -166,18 +168,23 @@ def test_kernel_vectors_always_in_kernel():
             assert rank(m) + len(basis) == m.cols
             assert rank(ExactMatrix.from_columns(basis, m.cols)) == len(basis)
             for vec in basis:
-                assert all(type(x) is int for x in vec) and gcd(*vec) == 1
-                assert all(x == 0 for x in apply(m, vec))
+                values = list(vec.values())
+                assert all(type(x) is int and x != 0 for x in values) and gcd(*values) == 1
+                assert vec[max(vec)] > 0  # positive at its own column, the last it touches
+                assert all(x == 0 for x in apply(m, dense_vector(vec, m.cols)))
 
 
 def test_solve_identity():
     m = identity_matrix(3)
-    assert solve_in_image(m, [3, -1, 2]) == (3, -1, 2)
+    assert solve_in_image(m, {0: 3, 1: -1, 2: 2}) == {0: 3, 1: -1, 2: 2}
 
 
 def test_solve_zero_matrix_inconsistent():
-    assert solve_in_image(ExactMatrix.zeros(2, 3), [1, 0]) is None
-    assert solve_in_image(ExactMatrix.zeros(2, 3), [0, 0]) == (0, 0, 0)
+    assert solve_in_image(ExactMatrix.zeros(2, 3), {0: 1}) is None
+    assert solve_in_image(ExactMatrix.zeros(2, 3), {0: 0, 1: 0}) == {}
+    for target in ({2: 1}, {-1: 1}, {2: 0}):
+        with pytest.raises(ValueError):
+            solve_in_image(ExactMatrix.zeros(2, 3), target)
 
 
 def test_solve_random_consistent_systems():
@@ -189,12 +196,13 @@ def test_solve_random_consistent_systems():
         m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
         x0 = [rng.randint(-3, 3) for _ in range(m.cols)]
         for b in (apply(m, x0), [rng.randint(-3, 3) for _ in range(m.rows)]):
-            x = solve_in_image(m, b)
+            x = solve_in_image(m, sparse_vector(b))
             augmented = [row + [b[i]] for i, row in enumerate(to_dense(m))]
             outside = oracle_rank_dense(augmented) > oracle_rank_dense(to_dense(m))
             assert (x is None) == outside
             if x is not None:
-                assert apply(m, x) == tuple(b)
+                assert all(x.values())
+                assert apply(m, dense_vector(x, m.cols)) == tuple(b)
             outcomes[outside] += 1
     assert min(outcomes.values()) >= 10
 
@@ -213,8 +221,8 @@ def test_solves_on_one_matrix_match_solves_on_fresh_equal_matrices():
                 b = [rng.randint(-3, 3) for _ in range(m.rows)]
             else:
                 b = apply(m, [rng.randint(-3, 3) for _ in range(m.cols)])
-            x = solve_in_image(m, b)
-            assert x == solve_in_image(ExactMatrix(m.rows, m.cols, m.entries), b)
+            x = solve_in_image(m, sparse_vector(b))
+            assert x == solve_in_image(ExactMatrix(m.rows, m.cols, m.entries), sparse_vector(b))
             outcomes[x is None] += 1
         assert (rank(m), kernel_basis(m)) == before
     assert min(outcomes.values()) >= 30
@@ -233,11 +241,11 @@ def test_matmul_and_apply_agree():
 
 def test_incremental_rank():
     inc = IncrementalRank()
-    assert inc.add([1, 0, 0])
-    assert not inc.add([2, 0, 0])
-    assert inc.add([1, 1, 0])
-    assert inc.add([0, 0, 5])
-    assert not inc.add([3, 7, 1])
+    assert inc.add({0: 1})
+    assert not inc.add({0: 2})
+    assert inc.add({0: 1, 1: 1})
+    assert inc.add({2: 5})
+    assert not inc.add({0: 3, 1: 7, 2: 1})
     assert inc.rank == 3
     # Seeded sequences, half of them combinations of accepted vectors.
     rng = random.Random(37)
@@ -252,10 +260,37 @@ def test_incremental_rank():
             else:
                 vec = [rng.choice([0, 0, 1, -1, 2, Fraction(1, 2)]) for _ in range(length)]
             grows = oracle_rank_dense(accepted + [vec]) > len(accepted)
-            assert inc.add(vec) == grows
+            assert inc.add(sparse_vector(vec)) == grows
             if grows:
                 accepted.append(vec)
         assert inc.rank == len(accepted)
+
+
+def test_incremental_rank_drops_explicit_zeros():
+    # A zero value is no entry: it must not become a pivot row.
+    inc = IncrementalRank()
+    assert not inc.add({0: 0, 1: 0})
+    assert inc.add({0: 1})
+    assert not inc.add({0: 2, 1: 0})
+    assert inc.rank == 1
+
+
+def test_incremental_rank_rejects_negative_indices():
+    # Keys below zero are the reduction's tags, so they are no vector index.
+    inc = IncrementalRank()
+    for vector in ({-1: 1}, {0: 1, -2: 3}):
+        with pytest.raises(ValueError):
+            inc.add(vector)
+    assert inc.rank == 0
+
+
+def test_incremental_rank_takes_float_values_as_fractions():
+    inc = IncrementalRank()
+    assert inc.add({0: 0.5})
+    assert not inc.add({0: 2})
+    assert inc.add({0: 0.25, 1: 1.5})
+    assert not inc.add({0: Fraction(1, 4), 1: Fraction(3, 2)})
+    assert inc.rank == 2
 
 
 # -- int-or-Fraction entries ---------------------------------------------------
@@ -273,7 +308,7 @@ def test_int_entries_stay_int():
     assert m.entries[(1, 1)] == Fraction(1, 2)
     rows = from_rows([[1, 0, -1], [0, 2, Fraction(1, 3)]])
     assert [type(v) for _, v in sorted(rows.entries.items())] == [int, int, int, Fraction]
-    cols = ExactMatrix.from_columns([[1, 0], [0, -3], [Fraction(1, 3), 0]], 2)
+    cols = ExactMatrix.from_columns([{0: 1}, {1: -3}, {0: Fraction(1, 3)}], 2)
     assert [type(v) for _, v in sorted(cols.entries.items())] == [int, Fraction, int]
     # Boundary matrices hold their signs as ints.
     chain = relative_chain_complex(torus_complex(), [])
@@ -307,7 +342,7 @@ def test_int_and_fraction_copies_reduce_alike():
         assert kernel_basis(ints) == kernel_basis(fracs)
         x0 = [rng.randint(-3, 3) for _ in range(ints.cols)]
         for target in (apply(ints, x0), [rng.randint(-3, 3) for _ in range(ints.rows)]):
-            assert solve_in_image(ints, target) == solve_in_image(fracs, target)
+            assert solve_in_image(ints, sparse_vector(target)) == solve_in_image(fracs, sparse_vector(target))
 
 
 # -- storage by column ---------------------------------------------------------
@@ -316,9 +351,9 @@ ENTRY_CHOICES = [0, 0, 0, 1, -1, 2, -5, Fraction(1, 2), Fraction(-2, 3), Fractio
 
 
 def test_three_constructions_agree_and_entries_round_trip():
-    # From (row, col) entries, dense columns and {row: value} columns (with
-    # some explicit zeros) the same matrix comes out, holding only its
-    # nonzero columns; entries rebuilds it, and A @ B matches the dense oracle.
+    # From (row, col) entries and {row: value} columns (with some explicit
+    # zeros) the same matrix comes out, holding only its nonzero columns;
+    # entries rebuilds it, and A @ B matches the dense oracle.
     rng = random.Random(53)
     for _ in range(80):
         rows, cols = rng.randint(0, 5), rng.randint(0, 5)
@@ -330,7 +365,6 @@ def test_three_constructions_agree_and_entries_round_trip():
         ]
         nonzero = {(i, j): v for i, row in enumerate(dense) for j, v in enumerate(row) if v}
         m = ExactMatrix(rows, cols, nonzero)
-        assert m == ExactMatrix.from_columns(dense_columns, rows)
         assert m == ExactMatrix.from_columns(dict_columns, rows)
         assert m.shape == (rows, cols) and m.nnz == len(nonzero)
         assert all(m.columns.values()) and all(0 <= j < cols for j in m.columns)
@@ -361,7 +395,7 @@ def test_reductions_leave_stored_columns_alone():
         rank(m)
         kernel_basis(m)
         for _ in range(2):
-            solve_in_image(m, [rng.randint(-3, 3) for _ in range(m.rows)])
+            solve_in_image(m, sparse_vector([rng.randint(-3, 3) for _ in range(m.rows)]))
         inc = IncrementalRank()
         for column in m.columns.values():
             inc.add(column)

@@ -198,6 +198,19 @@ def apply(matrix: ExactMatrix, vector) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def sparse_vector(vector) -> dict:
+    """{index: value} for the nonzero entries of a dense vector."""
+    return {i: v for i, v in enumerate(vector) if v}
+
+
+def dense_vector(vector: dict, length: int) -> list:
+    """The dense vector of the given length with an {index: value} vector's entries."""
+    out = [0] * length
+    for i, v in vector.items():
+        out[i] = v
+    return out
+
+
 def oracle_matmul(left, right, cols: int) -> list[list[Fraction]]:
     """Product of dense matrices (lists of rows; right has `cols` columns), by the triple loop."""
     return [
