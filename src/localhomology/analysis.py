@@ -19,13 +19,13 @@ RAMIFICATION = "ramification"
 
 
 def manifold_interior(n: int) -> str:
+    if n < 0:
+        raise ValueError("manifold dimension must be non-negative")
     return f"manifold-interior({n})"
 
 
 def neighborhood(complex: SimplicialComplex, seed, m: int) -> SimplexSet:
     """m-th neighborhood of a seed set: star at level 0, then star of closure."""
-    if m < 0:
-        raise ValueError("neighborhood level must be non-negative")
     return neighborhood_filtration(complex, seed, m).levels[-1]
 
 
@@ -40,6 +40,8 @@ class NeighborhoodFiltration:
 
 
 def neighborhood_filtration(complex: SimplicialComplex, seed, m_max: int) -> NeighborhoodFiltration:
+    if m_max < 0:
+        raise ValueError("neighborhood level must be non-negative")
     levels = [complex.star(seed)]
     for _ in range(m_max):
         levels.append(complex.star(complex.closure(levels[-1])))
@@ -47,9 +49,10 @@ def neighborhood_filtration(complex: SimplicialComplex, seed, m_max: int) -> Nei
 
 
 def _classify_vector(values: BettiVector, n: int) -> str:
+    interior = manifold_interior(n)
     expected = tuple(1 if k == n else 0 for k in range(len(values)))
     if values == expected and n < len(values):
-        return manifold_interior(n)
+        return interior
     if not any(values):
         return BOUNDARY_LIKE
     return RAMIFICATION
@@ -144,6 +147,8 @@ def filtration_persistence(
     larger neighborhood to the smaller); the final entry has no outgoing
     map and records None.
     """
+    if k < 0 or m_max < 0:
+        raise ValueError("homology dimension and neighborhood level must be non-negative")
     if simplex not in complex:
         raise UnknownSimplexError(f"{simplex} is not a face of the complex")
     filtration = neighborhood_filtration(complex, [simplex], m_max + 1)

@@ -96,7 +96,7 @@ class SimplicialComplex:
         self.dim = max((len(s) - 1 for s in maximal), default=-1)
         self._face_bound = sum((1 << len(s)) - 1 for s in maximal)
         self._faces_by_dim: dict[int, tuple[Simplex, ...]] = {}
-        self._cofacets: dict[int, dict[Simplex, tuple[Simplex, ...]]] = {}
+        self._cofacets: dict[Simplex, tuple[Simplex, ...]] | None = None
         self._face_set: frozenset[Simplex] | None = None
         self._containing: dict[int, list[frozenset[int]]] | None = None
 
@@ -191,20 +191,21 @@ class SimplicialComplex:
         return tuple(self.labels[v] for v in simplex)
 
     def cofacets(self, simplex: Simplex) -> tuple[Simplex, ...]:
-        """Faces one dimension up that contain the given simplex."""
-        return self._cofacet_table(len(simplex) - 1).get(simplex, ())
+        """Faces one dimension up that contain the given simplex, in lexicographic order."""
+        return self._cofacet_index().get(simplex, ())
 
-    def _cofacet_table(self, k: int) -> dict[Simplex, tuple[Simplex, ...]]:
-        table = self._cofacets.get(k)
-        if table is None:
-            table = {}
-            for up in self.faces(k + 1):
-                for i in range(len(up)):
-                    face = up[:i] + up[i + 1:]
-                    table.setdefault(face, []).append(up)
-            table = {f: tuple(ups) for f, ups in table.items()}
-            self._cofacets[k] = table
-        return table
+    def _cofacet_index(self) -> dict[Simplex, tuple[Simplex, ...]]:
+        """Every face mapped to all of its cofacets; built in full, then stored."""
+        if self._cofacets is None:
+            index: dict[Simplex, list[Simplex]] = {}
+            # Faces come by ascending dimension, so each facet has its entry first.
+            for up in self.all_faces():
+                index[up] = []
+                if len(up) > 1:
+                    for i in range(len(up)):
+                        index[up[:i] + up[i + 1:]].append(up)
+            self._cofacets = {s: tuple(ups) for s, ups in index.items()}
+        return self._cofacets
 
     # -- simplex sets and topology operators ------------------------------
 
@@ -238,60 +239,32 @@ class SimplicialComplex:
             return subset.members
         return self.simplex_set(subset).members
 
-    def _by_dimension(self, members: frozenset[Simplex]) -> list[set[Simplex]]:
-        levels: list[set[Simplex]] = [set() for _ in range(self.dim + 1)]
-        for s in members:
-            levels[len(s) - 1].add(s)
-        return levels
-
     def star(self, subset) -> "SimplexSet":
-        """Smallest open set containing the subset.
-
-        Walks up one dimension at a time: the k-faces of the star are the
-        k-members plus the cofacets of its (k-1)-faces.
-        """
-        levels = self._by_dimension(self._coerce(subset))
-        for k in range(self.dim):
-            if levels[k]:
-                table = self._cofacet_table(k)
-                levels[k + 1].update(chain.from_iterable(filter(None, map(table.get, levels[k]))))
-        return SimplexSet(self, frozenset().union(*levels))
+        """Smallest open set containing the subset: the subset saturated under cofacets."""
+        members = self._coerce(subset)
+        # The star of nothing is empty and needs no index.
+        return SimplexSet(self, members and _saturate(members, self._cofacet_index().__getitem__))
 
     def closure(self, subset) -> "SimplexSet":
         """Smallest closed set containing the subset (a subcomplex).
 
         Two exact routes, chosen by the size of the input A against |X|:
 
-        - A is more than half of X: walk the faces of X outside A from the
-          top dimension down, adding a face when one of its cofacets is in A
-          or already added. A proper coface of f contains a cofacet of f, so
-          this finds every face of cl A. Cost O(|X|) for the set difference
-          plus O(|X minus A| * max cofacets); the result is A itself when
-          nothing is added (A closed), else one copy, A with the added faces.
-        - Otherwise: walk down one dimension at a time, adding the facets of
-          each face reached. A face is expanded once however many members
-          contain it, so a member that a larger member covers costs nothing
-          more. Cost O(|cl A| * (dim X + 1)).
+        - A is more than half of X: one scan of X minus A finds the seeds,
+          the faces with a cofacet in A. A face g of cl A outside A lies
+          below some a in A, and on a chain of cofacets from g up to a the
+          face just before the first one in A is a seed; so cl A = A ∪
+          cl(seeds), which is A itself when there are no seeds (A closed).
+        - Otherwise: saturate A under facets, expanding each face of cl A
+          once. Cost O(|cl A| * (dim X + 1)).
         """
         members = self._coerce(subset)
         face_set = self._all_faces_set()
         if 2 * len(members) > len(face_set):
-            outside = self._by_dimension(face_set - members)
-            added: set[Simplex] = set()
-            # Top-dimensional faces have no cofacets, so they never join.
-            for k in range(self.dim - 1, -1, -1):
-                table = self._cofacet_table(k)
-                for f in outside[k]:
-                    ups = table.get(f, ())
-                    if not (members.isdisjoint(ups) and added.isdisjoint(ups)):
-                        added.add(f)
-            return SimplexSet(self, members | added if added else members)
-        levels = self._by_dimension(members)
-        for k in range(self.dim, 0, -1):
-            down = levels[k - 1]
-            for s in levels[k]:
-                down.update(combinations(s, k))
-        return SimplexSet(self, frozenset().union(*levels))
+            index = self._cofacet_index()
+            seeds = [f for f in face_set - members if not members.isdisjoint(index[f])]
+            return SimplexSet(self, members.union(_saturate(seeds, _facets)) if seeds else members)
+        return SimplexSet(self, _saturate(members, _facets))
 
     def link(self, subset) -> "SimplexSet":
         """cl(star A) minus (star A union cl A)."""
@@ -320,6 +293,22 @@ class SimplicialComplex:
             f"SimplicialComplex(n_vertices={self.n_vertices}, "
             f"dim={self.dim}, maximal={len(self.maximal)})"
         )
+
+
+def _facets(simplex: Simplex) -> Iterable[Simplex]:
+    return combinations(simplex, len(simplex) - 1) if len(simplex) > 1 else ()
+
+
+def _saturate(members: Iterable[Simplex], neighbours) -> frozenset[Simplex]:
+    """The members and all faces reached from them by `neighbours` steps, each expanded once."""
+    out = set(members)
+    todo = list(out)
+    for s in todo:  # grows as new faces are reached
+        for t in neighbours(s):
+            if t not in out:
+                out.add(t)
+                todo.append(t)
+    return frozenset(out)
 
 
 def _index_by_vertex(simplices: Iterable[Simplex]) -> dict[int, list[frozenset[int]]]:
@@ -370,7 +359,10 @@ class SimplexSet:
         return frozenset(out)
 
     def by_dimension(self) -> dict[int, tuple[Simplex, ...]]:
-        levels = self.complex._by_dimension(self.members)
+        """Members by dimension, each in lexicographic order; empty dimensions are left out."""
+        levels: list[list[Simplex]] = [[] for _ in range(self.complex.dim + 1)]
+        for s in self.members:
+            levels[len(s) - 1].append(s)
         return {k: tuple(sorted(level)) for k, level in enumerate(levels) if level}
 
     def connected_components(self) -> int:

@@ -43,13 +43,14 @@ class ChainComplexRep:
                 raise AssertionError(f"boundary composition at dimension {k} is nonzero")
 
 
-def _chain_complex(complex: SimplicialComplex, basis: frozenset[Simplex]) -> ChainComplexRep:
+def _chain_complex(basis: SimplexSet) -> ChainComplexRep:
     """Chain complex on the given basis faces of a relative pair.
 
     A signed facet enters a boundary column exactly when it is a basis face
     one dimension down; the others lie in the excluded subcomplex.
     """
-    bases = tuple(tuple(sorted(level)) for level in complex._by_dimension(basis))
+    levels = basis.by_dimension()
+    bases = tuple(levels.get(k, ()) for k in range(basis.complex.dim + 1))
     boundaries = []
     for k, level in enumerate(bases):
         if k == 0:
@@ -73,7 +74,7 @@ def relative_chain_complex(complex: SimplicialComplex, excluded) -> ChainComplex
     )
     if not complex.is_closed(excluded_set):
         raise NotClosedError("excluded set must be a subcomplex (closed)")
-    return _chain_complex(complex, excluded_set.complement().members)
+    return _chain_complex(excluded_set.complement())
 
 
 def betti(chain_complex: ChainComplexRep) -> BettiVector:
@@ -89,7 +90,7 @@ def _excised_chain_complex(complex: SimplicialComplex, open_set: SimplexSet) -> 
     """Chain complex of (cl U, fr U); its basis is exactly the faces of U."""
     closure = complex.closure(open_set)
     frontier = complex.frontier(open_set)
-    return _chain_complex(complex, closure.members - frontier.members)
+    return _chain_complex(SimplexSet(complex, closure.members - frontier.members))
 
 
 def _require_open(complex: SimplicialComplex, subset) -> SimplexSet:

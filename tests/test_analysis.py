@@ -88,6 +88,21 @@ def test_negative_level_rejected(five_path):
         neighborhood(five_path, [(2,)], -1)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: neighborhood_filtration(x, [(2,)], -5),
+        lambda x: local_profile(x, (2,), -2),
+        lambda x: profile_many(x, [(2,)], m_max=-1),
+        lambda x: filtration_persistence(x, (2,), 1, -1),
+    ],
+    ids=["neighborhood_filtration", "local_profile", "profile_many", "filtration_persistence"],
+)
+def test_negative_level_rejected_by_every_entry_point(five_path, call):
+    with pytest.raises(ValueError):
+        call(five_path)
+
+
 # -- profiles ----------------------------------------------------------------
 
 
@@ -221,7 +236,29 @@ def test_wedge_ramifies_at_shared_vertex():
     assert classify(wedge, hub, 1) == "ramification"
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: classify(x, (0,), -1),
+        lambda x: local_profile(x, (0,), 0, ambient_dim=-1),
+        lambda x: is_homology_n_manifold(x, -1),
+    ],
+    ids=["classify", "local_profile", "is_homology_n_manifold"],
+)
+def test_negative_manifold_dimension_rejected(call):
+    # Zero homology in every degree is no interior of any dimension.
+    triangle = SimplicialComplex.from_maximal([[0, 1, 2]])
+    with pytest.raises(ValueError):
+        call(triangle)
+
+
 # -- filtration persistence ---------------------------------------------------
+
+
+def test_persistence_rejects_negative_degree():
+    # A negative index would read beta_2 of the sphere from the end.
+    with pytest.raises(ValueError):
+        filtration_persistence(tetrahedron_boundary(), (0,), -1, 0)
 
 
 def test_persistence_stabilized_levels_have_full_rank():

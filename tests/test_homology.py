@@ -31,6 +31,7 @@ from util import (
     dense_vector,
     graph_as_one_complex,
     hstack,
+    naive_closure,
     oracle_chain_complex,
     projective_plane,
     random_complex,
@@ -181,6 +182,28 @@ def test_local_betti_rejects_non_open(circle):
 def test_local_betti_at_unknown_simplex(circle):
     with pytest.raises(UnknownSimplexError):
         local_betti_at(circle, (0, 1, 2))
+
+
+def test_local_betti_at_a_face_is_shifted_reduced_betti_of_its_link():
+    # Munkres, Elements of Algebraic Topology, section 63: the local homology
+    # at a face s is the reduced homology of lk s shifted up by dim s + 1.
+    # lk s is built from its definition, the faces of cl st s disjoint from
+    # s; an empty link (s maximal) has reduced homology only in degree -1.
+    rng = random.Random(63)
+    for _ in range(200):
+        x = random_complex(rng)
+        for s in x.all_faces():
+            star = x.star([s])
+            values = local_betti(x, star)
+            assert values == local_betti_direct(x, star)
+            link = [t for t in naive_closure(star.members) if not set(t) & set(s)]
+            expected = [0] * (x.dim + 1)
+            if link:
+                for k, b in enumerate(reduced_betti(SimplicialComplex.from_maximal(link))):
+                    expected[k + len(s)] = b
+            else:
+                expected[len(s) - 1] = 1
+            assert values == tuple(expected), (x.maximal, s)
 
 
 def test_graph_degree_identity_small():
