@@ -9,13 +9,18 @@ for orientation signs, so results are reproducible across runs.
 Open sets in the Alexandrov topology are unions of stars; closed sets are
 exactly the subcomplexes. The operators star, closure, link and frontier
 all act on arbitrary subsets of faces and return `SimplexSet` values bound
-to their host complex.
+to their host complex. They work on a face index built once per complex:
+each face gets an id, by dimension and then lexicographically, a set of
+faces is an int mask over those ids, and each vertex has the mask of the
+faces containing it. A star is then an OR of ANDs of vertex masks and a
+closure an OR of cached per-face closure masks (the indexing of the
+simplex tree, Boissonnat & Maria, Algorithmica 2014, and of Ripser,
+Bauer, JACT 2021).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import chain, combinations
 from typing import Hashable, Iterable, Iterator, Sequence
 
@@ -59,33 +64,18 @@ def intern_labels(
     return tuple(intern), ids
 
 
-def facets_with_signs(simplex: Simplex) -> list[tuple[int, Simplex]]:
-    """Codimension-one faces with their orientation signs.
-
-    Dropping the vertex at position i contributes the sign (-1)^i; vertex
-    order within a simplex is always the ascending interned order.
-    """
-    out = []
-    for i in range(len(simplex)):
-        face = simplex[:i] + simplex[i + 1:]
-        if face:
-            out.append((-1 if i % 2 else 1, face))
-    return out
-
-
 class SimplicialComplex:
     """Locally finite abstract simplicial complex stored by maximal simplices.
 
-    Instances are immutable after construction. The face, cofacet and
-    per-vertex caches populate lazily with values never changed afterwards,
-    so concurrent readers are safe: a racing recomputation produces an
+    Instances are immutable after construction. The face lists, the face
+    index and the per-vertex index populate lazily, each built in full
+    before it is stored and never changed afterwards; the face index's
+    closure-mask cache only gains entries, each with its one possible
+    value. Concurrent readers are safe: a racing recomputation produces an
     identical value.
     """
 
-    __slots__ = (
-        "maximal", "labels", "dim", "_face_bound", "_faces_by_dim", "_cofacets", "_face_set",
-        "_containing",
-    )
+    __slots__ = ("maximal", "labels", "dim", "_face_bound", "_faces_by_dim", "_index", "_containing")
 
     def __init__(self, maximal: frozenset[Simplex], labels: tuple[Hashable, ...]):
         # Unchecked precondition: maximal holds ascending id tuples forming an
@@ -96,8 +86,7 @@ class SimplicialComplex:
         self.dim = max((len(s) - 1 for s in maximal), default=-1)
         self._face_bound = sum((1 << len(s)) - 1 for s in maximal)
         self._faces_by_dim: dict[int, tuple[Simplex, ...]] = {}
-        self._cofacets: dict[Simplex, tuple[Simplex, ...]] | None = None
-        self._face_set: frozenset[Simplex] | None = None
+        self._index: _FaceIndex | None = None
         self._containing: dict[int, list[frozenset[int]]] | None = None
 
     @classmethod
@@ -192,101 +181,117 @@ class SimplicialComplex:
 
     def cofacets(self, simplex: Simplex) -> tuple[Simplex, ...]:
         """Faces one dimension up that contain the given simplex, in lexicographic order."""
-        return self._cofacet_index().get(simplex, ())
+        index = self._face_index()
+        i = index.ids.get(simplex)
+        if i is None or len(simplex) > self.dim:
+            return ()
+        # The cofacets are the star's faces in the id range of the next dimension.
+        lo, hi = index.starts[len(simplex)], index.starts[len(simplex) + 1]
+        ups = (index.star_mask(i) >> lo) & ((1 << (hi - lo)) - 1)
+        return tuple(index.faces[lo + j] for j in _ascending(ups))
 
-    def _cofacet_index(self) -> dict[Simplex, tuple[Simplex, ...]]:
-        """Every face mapped to all of its cofacets; built in full, then stored."""
-        if self._cofacets is None:
-            index: dict[Simplex, list[Simplex]] = {}
-            # Faces come by ascending dimension, so each facet has its entry first.
-            for up in self.all_faces():
-                index[up] = []
-                if len(up) > 1:
-                    for i in range(len(up)):
-                        index[up[:i] + up[i + 1:]].append(up)
-            self._cofacets = {s: tuple(ups) for s, ups in index.items()}
-        return self._cofacets
+    def _is_face(self, simplex) -> bool:
+        """Whether simplex is a face in ascending vertex order; never enumerates faces."""
+        if self._index is not None:  # its ids are exactly the ascending faces
+            return simplex in self._index.ids
+        return simplex in self and all(a < b for a, b in zip(simplex, simplex[1:]))
+
+    def _face_index(self) -> "_FaceIndex":
+        if self._index is None:
+            self._index = _FaceIndex(self)
+        return self._index
 
     # -- simplex sets and topology operators ------------------------------
 
     def simplex_set(self, members: Iterable[Simplex]) -> "SimplexSet":
         """The members as a set of faces; each must be a face in ascending vertex order.
 
-        Membership is answered from the per-vertex index, so validation never
-        enumerates the faces of the complex.
+        Membership is answered from the per-vertex index, or from the face
+        index once it is built, so validation never enumerates the faces of
+        the complex.
         """
-        mem = frozenset(members)
-        for s in mem:
-            if s not in self or any(a >= b for a, b in zip(s, s[1:])):
-                raise UnknownSimplexError(f"{s} is not a face of the complex")
-        return SimplexSet(self, mem)
+        return SimplexSet(self, members)
 
     def full_set(self) -> "SimplexSet":
-        return SimplexSet(self, self._all_faces_set())
+        return SimplexSet._from_mask(self, self._face_index().full)
 
     def empty_set(self) -> "SimplexSet":
-        return SimplexSet(self, frozenset())
+        return SimplexSet(self, ())
 
-    def _all_faces_set(self) -> frozenset[Simplex]:
-        if self._face_set is None:
-            self._face_set = frozenset(self.all_faces())
-        return self._face_set
-
-    def _coerce(self, subset) -> frozenset[Simplex]:
+    def _coerce(self, subset) -> "SimplexSet":
         if isinstance(subset, SimplexSet):
             if subset.complex is not self:
                 raise ValueError("simplex set belongs to a different complex")
-            return subset.members
-        return self.simplex_set(subset).members
+            return subset
+        return SimplexSet(self, subset)
 
     def star(self, subset) -> "SimplexSet":
-        """Smallest open set containing the subset: the subset saturated under cofacets."""
-        members = self._coerce(subset)
-        # The star of nothing is empty and needs no index.
-        return SimplexSet(self, members and _saturate(members, self._cofacet_index().__getitem__))
+        """Smallest open set containing the subset: the OR of its members' stars.
+
+        Members are taken lowest id first, and one already inside the star
+        so far adds nothing and is skipped.
+        """
+        a = self._coerce(subset)
+        rest = a.mask
+        if not rest:  # the star of nothing is empty and needs no index
+            return a
+        index = self._face_index()
+        out = 0
+        while rest:
+            star = index.star_mask((rest & -rest).bit_length() - 1)
+            out |= star
+            rest &= ~star
+        return SimplexSet._from_mask(self, out)
 
     def closure(self, subset) -> "SimplexSet":
         """Smallest closed set containing the subset (a subcomplex).
 
         Two exact routes, chosen by the size of the input A against |X|:
 
-        - A is more than half of X: one scan of X minus A finds the seeds,
-          the faces with a cofacet in A. A face g of cl A outside A lies
-          below some a in A, and on a chain of cofacets from g up to a the
-          face just before the first one in A is a seed; so cl A = A ∪
-          cl(seeds), which is A itself when there are no seeds (A closed).
-        - Otherwise: saturate A under facets, expanding each face of cl A
-          once. Cost O(|cl A| * (dim X + 1)).
+        - A is more than half of X: a face g outside A lies in cl A exactly
+          when its star meets A, so only the faces outside A are tested.
+        - Otherwise: the OR of the members' closure masks, taken highest id
+          first; a member already inside the closure so far is skipped.
+
+        When cl A is A (A closed), A itself is returned.
         """
-        members = self._coerce(subset)
-        face_set = self._all_faces_set()
-        if 2 * len(members) > len(face_set):
-            index = self._cofacet_index()
-            seeds = [f for f in face_set - members if not members.isdisjoint(index[f])]
-            return SimplexSet(self, members.union(_saturate(seeds, _facets)) if seeds else members)
-        return SimplexSet(self, _saturate(members, _facets))
+        a = self._coerce(subset)
+        mask = a.mask
+        index = self._face_index()
+        if 2 * len(a) > len(index.faces):
+            added = [g for g in _ascending(index.full & ~mask) if index.star_mask(g) & mask]
+            out = mask | _mask_of(added, len(index.faces))
+        else:
+            out = 0
+            rest = mask
+            while rest:
+                down = index.down_mask(rest.bit_length() - 1)
+                out |= down
+                rest &= ~down
+        return a if out == mask else SimplexSet._from_mask(self, out)
 
     def link(self, subset) -> "SimplexSet":
         """cl(star A) minus (star A union cl A)."""
-        st = self.star(subset)
+        a = self._coerce(subset)
+        st = self.star(a)
         cl_st = self.closure(st)
-        cl = self.closure(subset)
-        return SimplexSet(self, cl_st.members - (st.members | cl.members))
+        cl = self.closure(a)
+        return SimplexSet._from_mask(self, cl_st.mask & ~(st.mask | cl.mask))
 
     def frontier(self, subset) -> "SimplexSet":
         """cl A intersected with cl(X minus A)."""
-        members = self._coerce(subset)
-        cl = self.closure(SimplexSet(self, members))
-        cl_comp = self.closure(SimplexSet(self, self._all_faces_set() - members))
-        return SimplexSet(self, cl.members & cl_comp.members)
+        a = self._coerce(subset)
+        cl = self.closure(a)
+        cl_comp = self.closure(a.complement())
+        return SimplexSet._from_mask(self, cl.mask & cl_comp.mask)
 
     def is_open(self, subset) -> bool:
-        members = self._coerce(subset)
-        return self.star(SimplexSet(self, members)).members == members
+        a = self._coerce(subset)
+        return self.star(a).mask == a.mask
 
     def is_closed(self, subset) -> bool:
-        members = self._coerce(subset)
-        return self.closure(SimplexSet(self, members)).members == members
+        a = self._coerce(subset)
+        return self.closure(a).mask == a.mask
 
     def __repr__(self) -> str:
         return (
@@ -295,20 +300,74 @@ class SimplicialComplex:
         )
 
 
-def _facets(simplex: Simplex) -> Iterable[Simplex]:
-    return combinations(simplex, len(simplex) - 1) if len(simplex) > 1 else ()
+class _FaceIndex:
+    """Every face of a complex numbered once, in `all_faces` order.
+
+    Ids run by dimension, then lexicographically, so the faces of dimension
+    k hold the ids from starts[k] up to starts[k + 1]. A set of faces is an
+    int mask with bit i standing for face i. vertex_masks[v] marks the faces
+    that contain vertex v, so the star of a face is the AND of its vertices'
+    masks. `down` caches the closure mask of each face some closure reached.
+    """
+
+    __slots__ = ("faces", "ids", "starts", "vertex_masks", "full", "down")
+
+    def __init__(self, complex: SimplicialComplex):
+        self.faces = tuple(complex.all_faces())  # refused up front above MAX_FACES
+        self.ids = {s: i for i, s in enumerate(self.faces)}
+        self.starts = [0]
+        for k in range(complex.dim + 1):
+            self.starts.append(self.starts[-1] + len(complex.faces(k)))
+        containing: list[list[int]] = [[] for _ in range(complex.n_vertices)]
+        for i, s in enumerate(self.faces):
+            for v in s:
+                containing[v].append(i)
+        self.vertex_masks = tuple(_mask_of(ids, len(self.faces)) for ids in containing)
+        self.full = (1 << len(self.faces)) - 1
+        self.down: dict[int, int] = {}
+
+    def star_mask(self, i: int) -> int:
+        """Mask of the faces containing face i."""
+        vertex_masks = self.vertex_masks
+        face = self.faces[i]
+        mask = vertex_masks[face[0]]
+        for v in face[1:]:
+            mask &= vertex_masks[v]
+        return mask
+
+    def down_mask(self, i: int) -> int:
+        """Mask of the faces of face i, itself included: its closure."""
+        mask = self.down.get(i)
+        if mask is None:
+            face = self.faces[i]
+            mask = 1 << i
+            if len(face) > 1:
+                for j in range(len(face)):
+                    mask |= self.down_mask(self.ids[face[:j] + face[j + 1:]])
+            self.down[i] = mask
+        return mask
 
 
-def _saturate(members: Iterable[Simplex], neighbours) -> frozenset[Simplex]:
-    """The members and all faces reached from them by `neighbours` steps, each expanded once."""
-    out = set(members)
-    todo = list(out)
-    for s in todo:  # grows as new faces are reached
-        for t in neighbours(s):
-            if t not in out:
-                out.add(t)
-                todo.append(t)
-    return frozenset(out)
+def _mask_of(ids: Iterable[int], size: int) -> int:
+    """The mask with the given bits set, all below `size`.
+
+    It is built as one bitmap and turned into an int once: OR-ing bit by
+    bit into an int would copy the int for every bit.
+    """
+    bitmap = bytearray((size + 7) // 8)
+    for i in ids:
+        bitmap[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(bitmap, "little")
+
+
+def _ascending(mask: int) -> Iterator[int]:
+    """Positions of the set bits of a mask, lowest first."""
+    digits = bin(mask)
+    top = len(digits) - 1
+    j = digits.rfind("1", 2)
+    while j > 0:
+        yield top - j
+        j = digits.rfind("1", 2, j)
 
 
 def _index_by_vertex(simplices: Iterable[Simplex]) -> dict[int, list[frozenset[int]]]:
@@ -321,21 +380,77 @@ def _index_by_vertex(simplices: Iterable[Simplex]) -> dict[int, list[frozenset[i
     return containing
 
 
-@dataclass(frozen=True)
 class SimplexSet:
-    """A subset of the faces of a complex; its topology operators live on the complex."""
+    """A subset of the faces of a complex; its topology operators live on the complex.
 
-    complex: SimplicialComplex = field(repr=False)
-    members: frozenset[Simplex]
+    The faces are held as `members`, a frozenset of simplices, or as `mask`,
+    an int over the complex's face ids, or both: whichever is missing is
+    derived on first use and kept. The constructor takes members and checks
+    that each is a face in ascending vertex order; the operators build their
+    results from masks. Two sets are equal when they belong to the same
+    complex and hold the same faces, however each was built.
+    """
+
+    __slots__ = ("complex", "_members", "_mask")
+
+    def __init__(self, complex: SimplicialComplex, members: Iterable[Simplex]):
+        members = frozenset(members)
+        for s in members:
+            if not complex._is_face(s):
+                raise UnknownSimplexError(f"{s} is not a face of the complex")
+        self.complex = complex
+        self._members: frozenset[Simplex] | None = members
+        self._mask: int | None = None
+
+    @classmethod
+    def _from_mask(cls, complex: SimplicialComplex, mask: int) -> "SimplexSet":
+        # Unchecked: the mask comes from operators on complex's face index.
+        out = cls.__new__(cls)
+        out.complex = complex
+        out._members = None
+        out._mask = mask
+        return out
+
+    @property
+    def members(self) -> frozenset[Simplex]:
+        if self._members is None:
+            faces = self.complex._face_index().faces
+            self._members = frozenset(faces[i] for i in _ascending(self._mask))
+        return self._members
+
+    @property
+    def mask(self) -> int:
+        if self._mask is None:
+            if self._members:
+                ids = self.complex._face_index().ids
+                self._mask = _mask_of(map(ids.__getitem__, self._members), len(ids))
+            else:
+                self._mask = 0
+        return self._mask
 
     def __iter__(self) -> Iterator[Simplex]:
         return iter(sorted(self.members))
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self._members) if self._members is not None else self._mask.bit_count()
 
     def __contains__(self, simplex) -> bool:
         return simplex in self.members
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SimplexSet):
+            return NotImplemented
+        if self.complex is not other.complex:
+            return False
+        if self._mask is None and other._mask is None:
+            return self._members == other._members
+        return self.mask == other.mask
+
+    def __hash__(self) -> int:
+        return hash((self.complex, self.members))
+
+    def __repr__(self) -> str:
+        return f"SimplexSet(members={self.members!r})"
 
     def _check_host(self, other: "SimplexSet") -> None:
         if self.complex is not other.complex:
@@ -343,14 +458,14 @@ class SimplexSet:
 
     def __or__(self, other: "SimplexSet") -> "SimplexSet":
         self._check_host(other)
-        return SimplexSet(self.complex, self.members | other.members)
+        return SimplexSet._from_mask(self.complex, self.mask | other.mask)
 
     def __and__(self, other: "SimplexSet") -> "SimplexSet":
         self._check_host(other)
-        return SimplexSet(self.complex, self.members & other.members)
+        return SimplexSet._from_mask(self.complex, self.mask & other.mask)
 
     def complement(self) -> "SimplexSet":
-        return SimplexSet(self.complex, self.complex._all_faces_set() - self.members)
+        return SimplexSet._from_mask(self.complex, self.complex._face_index().full & ~self.mask)
 
     def vertex_set(self) -> frozenset[int]:
         out: set[int] = set()
@@ -359,16 +474,27 @@ class SimplexSet:
         return frozenset(out)
 
     def by_dimension(self) -> dict[int, tuple[Simplex, ...]]:
-        """Members by dimension, each in lexicographic order; empty dimensions are left out."""
-        levels: list[list[Simplex]] = [[] for _ in range(self.complex.dim + 1)]
-        for s in self.members:
-            levels[len(s) - 1].append(s)
-        return {k: tuple(sorted(level)) for k, level in enumerate(levels) if level}
+        """Members by dimension, each in lexicographic order; empty dimensions are left out.
+
+        Ascending face ids run by dimension and then lexicographically, so
+        the set bits are read in order and nothing is sorted.
+        """
+        faces = self.complex._face_index().faces
+        levels: dict[int, list[Simplex]] = {}
+        for i in _ascending(self.mask):
+            s = faces[i]
+            levels.setdefault(len(s) - 1, []).append(s)
+        return {k: tuple(level) for k, level in levels.items()}
 
     def connected_components(self) -> int:
-        """Components of the face-inclusion relation restricted to the set."""
-        members = sorted(self.members)
-        parent = list(range(len(members)))
+        """Components of the face-inclusion relation restricted to the set.
+
+        Each member is joined to every member below it, read from its closure
+        mask: all faces, not only facets, since the set need not be closed.
+        """
+        index = self.complex._face_index()
+        mask = self.mask
+        parent = {i: i for i in _ascending(mask)}
 
         def find(a: int) -> int:
             while parent[a] != a:
@@ -376,18 +502,13 @@ class SimplexSet:
                 a = parent[a]
             return a
 
-        def union(a: int, b: int) -> None:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-
-        for i, s in enumerate(members):
-            s_set = set(s)
-            for j in range(i + 1, len(members)):
-                t_set = set(members[j])
-                if s_set <= t_set or t_set <= s_set:
-                    union(i, j)
-        return len({find(i) for i in range(len(members))})
+        for i in parent:
+            root = find(i)
+            for j in _ascending(index.down_mask(i) & mask):
+                other = find(j)
+                if other != root:
+                    parent[other] = root
+        return len({find(i) for i in parent})
 
 
 # -- JSON interchange ------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import Simplex, SimplexSet, SimplicialComplex, facets_with_signs
+from .complexes import Simplex, SimplexSet, SimplicialComplex
 from .errors import NotClosedError, NotOpenError, PreconditionError, UnknownSimplexError
 from .linalg import ExactMatrix, IncrementalRank, kernel_basis, rank, solve_in_image
 
@@ -46,24 +46,25 @@ class ChainComplexRep:
 def _chain_complex(basis: SimplexSet) -> ChainComplexRep:
     """Chain complex on the given basis faces of a relative pair.
 
-    A signed facet enters a boundary column exactly when it is a basis face
-    one dimension down; the others lie in the excluded subcomplex.
+    Dropping the vertex at position i of a basis face gives a facet with
+    sign (-1)^i, vertices in ascending interned order. The signed facet
+    enters the boundary column exactly when it is a basis face one
+    dimension down; the others lie in the excluded subcomplex.
     """
     levels = basis.by_dimension()
     bases = tuple(levels.get(k, ()) for k in range(basis.complex.dim + 1))
     boundaries = []
     for k, level in enumerate(bases):
-        if k == 0:
-            boundaries.append(ExactMatrix.zeros(0, len(level)))
-            continue
+        lower = bases[k - 1] if k else ()
         entries: dict[tuple[int, int], int] = {}
-        lower = {s: i for i, s in enumerate(bases[k - 1])}
-        for col, simplex in enumerate(level):
-            for sign, face in facets_with_signs(simplex):
-                row = lower.get(face)
-                if row is not None:
-                    entries[(row, col)] = sign
-        boundaries.append(ExactMatrix(len(bases[k - 1]), len(level), entries))
+        if level and lower:
+            rows = {s: i for i, s in enumerate(lower)}
+            for col, simplex in enumerate(level):
+                for i in range(k + 1):
+                    row = rows.get(simplex[:i] + simplex[i + 1:])
+                    if row is not None:
+                        entries[(row, col)] = -1 if i % 2 else 1
+        boundaries.append(ExactMatrix(len(lower), len(level), entries))
     return ChainComplexRep(bases=bases, boundaries=tuple(boundaries))
 
 
@@ -90,7 +91,7 @@ def _excised_chain_complex(complex: SimplicialComplex, open_set: SimplexSet) -> 
     """Chain complex of (cl U, fr U); its basis is exactly the faces of U."""
     closure = complex.closure(open_set)
     frontier = complex.frontier(open_set)
-    return _chain_complex(SimplexSet(complex, closure.members - frontier.members))
+    return _chain_complex(closure & frontier.complement())
 
 
 def _require_open(complex: SimplicialComplex, subset) -> SimplexSet:
@@ -187,7 +188,7 @@ def induced_map_matrix(
     """
     u = _require_open(complex, larger)
     v = _require_open(complex, smaller)
-    if not v.members <= u.members:
+    if v.mask & ~u.mask:
         raise PreconditionError("smaller open set must be contained in the larger one")
     if k < 0:
         raise ValueError("homology dimension must be non-negative")

@@ -109,28 +109,44 @@ def _brandes_pass(graph: Graph, source: int):
 def betweenness_vertex(graph: Graph) -> VertexScores:
     """Brandes shortest-path betweenness, endpoints excluded, unordered pairs.
 
-    Dependencies accumulate as integers, one exact rational per (source,
-    vertex); scores become floats only on output.
+    Dependencies accumulate as integers over one common denominator D, the
+    lcm of every source's scale P: a source adds sigma * acc * (D // P).
+    Each score is one exact rational, a float only on output.
     """
-    scores = [Fraction(0)] * graph.n
+    totals = [0] * graph.n
+    common = 1
     for source in range(graph.n):
         order, sigma, _, scale, acc = _brandes_pass(graph, source)
+        common, factor = _rescale(totals, common, scale)
         for w in order:
             if acc[w] and w != source:
-                scores[w] += Fraction(sigma[w] * acc[w], scale)
-    return VertexScores("betweenness_vertex", tuple(float(s / 2) for s in scores))
+                totals[w] += sigma[w] * acc[w] * factor
+    return VertexScores("betweenness_vertex", tuple(float(Fraction(t, 2 * common)) for t in totals))
 
 
 def betweenness_edge(graph: Graph) -> EdgeScores:
-    """Edge form of `betweenness_vertex`: each (source, edge) adds one exact rational."""
-    values = {edge: Fraction(0) for edge in graph.edges}
+    """Edge form of `betweenness_vertex`, over the same common denominator."""
+    edges = list(graph.edges)
+    position = {edge: i for i, edge in enumerate(edges)}
+    totals = [0] * len(edges)
+    common = 1
     for source in range(graph.n):
         order, sigma, preds, scale, acc = _brandes_pass(graph, source)
+        common, factor = _rescale(totals, common, scale)
         for w in order:
-            c = scale // sigma[w] + acc[w]
+            c = (scale // sigma[w] + acc[w]) * factor
             for v in preds[w]:
-                values[(v, w) if v < w else (w, v)] += Fraction(sigma[v] * c, scale)
-    return EdgeScores("betweenness_edge", {e: float(s / 2) for e, s in values.items()})
+                totals[position[(v, w) if v < w else (w, v)]] += sigma[v] * c
+    return EdgeScores("betweenness_edge", {e: float(Fraction(t, 2 * common)) for e, t in zip(edges, totals)})
+
+
+def _rescale(totals: list[int], common: int, scale: int) -> tuple[int, int]:
+    """Bring totals over lcm(common, scale) in place; that lcm and its ratio to scale."""
+    grown = lcm(common, scale)
+    if grown != common:
+        up = grown // common
+        totals[:] = [t * up for t in totals]
+    return grown, grown // scale
 
 
 def random_walk_betweenness(graph: Graph) -> VertexScores:

@@ -7,6 +7,7 @@ from localhomology import (
     MalformedInputError,
     MalformedSimplexError,
     PreconditionError,
+    SimplexSet,
     SimplicialComplex,
     UnknownSimplexError,
     complex_from_json_dict,
@@ -15,7 +16,14 @@ from localhomology import (
     local_betti_at,
 )
 
-from util import naive_closure, naive_contains, naive_maximal, naive_star, random_complex
+from util import (
+    naive_closure,
+    naive_components,
+    naive_contains,
+    naive_maximal,
+    naive_star,
+    random_complex,
+)
 
 
 @pytest.fixture
@@ -396,6 +404,85 @@ def test_simplex_set_components():
     assert mixed.connected_components() == 2
     chain = two_edges.simplex_set([(0,), (0, 1)])
     assert chain.connected_components() == 1
+
+
+def test_connected_components_match_pairwise_oracle():
+    # Arbitrary subsets, most of them not closed: a member joins a member
+    # two or more dimensions below it even when nothing in between is in the set.
+    rng = random.Random(43)
+    not_closed = 0
+    for _ in range(300):
+        x = random_complex(rng, n_vertices=rng.randint(1, 9), n_maximal=rng.randint(1, 7), max_size=6)
+        faces = sorted(x.all_faces())
+        density = rng.random()
+        chosen = [f for f in faces if rng.random() < density]
+        for subset in (chosen, [], faces):
+            assert x.simplex_set(subset).connected_components() == naive_components(subset)
+        not_closed += naive_closure(chosen) != frozenset(chosen)
+    assert not_closed >= 100
+    skip = SimplicialComplex.from_maximal([[0, 1, 2], [3]])
+    assert skip.simplex_set([(0,), (0, 1, 2), (3,)]).connected_components() == 2
+
+
+def test_simplex_set_constructor_rejects_non_faces():
+    # Non-faces, unknown vertices, vertices out of order or repeated, and
+    # non-tuples; checked both before and after the face index exists.
+    x = SimplicialComplex.from_maximal([[0, 1, 2]])
+    bad = [(0, 5), (5,), (1, 0), (0, 0), (0, 1, 2, 3), (), 0, "0"]
+    for built in (False, True):
+        if built:
+            assert len(x.full_set()) == 7
+        for member in bad:
+            with pytest.raises(UnknownSimplexError):
+                SimplexSet(x, frozenset({member}))
+        assert SimplexSet(x, [(0, 1), (2,)]) == x.simplex_set([(2,), (0, 1)])
+
+
+def test_mask_operators_match_naive_oracles():
+    # Every operator against the oracles, on sets built from members and on
+    # the same sets built by operators from masks; closure on both routes.
+    rng = random.Random(47)
+    counts = {"not closed": 0, "large": 0, "small": 0}
+    complexes = [SimplicialComplex.from_maximal([])]
+    complexes += [
+        random_complex(rng, n_vertices=rng.randint(1, 9), n_maximal=rng.randint(1, 7), max_size=6)
+        for _ in range(150)
+    ]
+    for x in complexes:
+        faces = sorted(x.all_faces())
+        everything = frozenset(faces)
+        pairs = []
+        for _ in range(2):
+            density = rng.random()
+            pairs.append([f for f in faces if rng.random() < density])
+        for chosen in pairs + [[], faces]:
+            a = frozenset(chosen)
+            by_members = x.simplex_set(chosen)
+            # The same faces as an operator result: the complement of the complement.
+            by_mask = x.simplex_set(chosen).complement().complement()
+            assert hash(by_mask) == hash(by_members) and by_mask == by_members
+            assert by_mask.members == a and len(by_mask) == len(a)
+            assert list(by_mask) == sorted(a)
+            star, closure = naive_star(x, a), naive_closure(a)
+            rest = everything - a
+            counts["not closed"] += closure != a
+            counts["large" if 2 * len(a) > len(faces) else "small"] += 1
+            for subset in (by_members, by_mask):
+                assert x.star(subset).members == star
+                assert x.closure(subset).members == closure
+                assert x.frontier(subset).members == closure & naive_closure(rest)
+                assert x.link(subset).members == naive_closure(star) - (star | closure)
+                assert x.is_open(subset) == (star == a)
+                assert x.is_closed(subset) == (closure == a)
+                assert subset.complement().members == rest
+            other = x.simplex_set(pairs[0])
+            assert (by_mask | other).members == a | set(pairs[0])
+            assert (by_mask & other).members == a & set(pairs[0])
+        assert x.full_set().members == everything and x.empty_set().members == frozenset()
+        for s in faces:
+            ups = tuple(sorted(f for f in faces if len(f) == len(s) + 1 and set(s) <= set(f)))
+            assert x.cofacets(s) == ups
+    assert min(counts.values()) >= 50
 
 
 def test_cofacets(triangle):

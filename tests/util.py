@@ -248,6 +248,26 @@ def naive_star(complex: SimplicialComplex, members) -> frozenset:
     )
 
 
+def naive_components(members) -> int:
+    """Components of the face-inclusion relation on the members, testing every pair."""
+    members = sorted(members)
+    parent = list(range(len(members)))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i, s in enumerate(members):
+        s_set = set(s)
+        for j in range(i + 1, len(members)):
+            t_set = set(members[j])
+            if s_set <= t_set or t_set <= s_set:
+                parent[find(j)] = find(i)
+    return len({find(i) for i in range(len(members))})
+
+
 def naive_contains(complex: SimplicialComplex, simplex) -> bool:
     """Membership by a scan of every maximal simplex."""
     if not isinstance(simplex, tuple) or not simplex:
