@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .complexes import Simplex, SimplexSet, SimplicialComplex
-from .errors import UnknownSimplexError
 from .homology import (
     BettiVector,
     induced_map_rank,
@@ -87,8 +86,6 @@ def local_profile(
     m_max: int,
     ambient_dim: Optional[int] = None,
 ) -> LocalProfile:
-    if simplex not in complex:
-        raise UnknownSimplexError(f"{simplex} is not a face of the complex")
     filtration = neighborhood_filtration(complex, [simplex], m_max)
     levels = tuple(local_betti(complex, level) for level in filtration.levels)
     n = complex.dim if ambient_dim is None else ambient_dim
@@ -149,8 +146,6 @@ def filtration_persistence(
     """
     if k < 0 or m_max < 0:
         raise ValueError("homology dimension and neighborhood level must be non-negative")
-    if simplex not in complex:
-        raise UnknownSimplexError(f"{simplex} is not a face of the complex")
     filtration = neighborhood_filtration(complex, [simplex], m_max + 1)
     out: list[tuple[int, Optional[int]]] = []
     for m in range(m_max + 1):

@@ -1,10 +1,10 @@
 """Abstract simplicial complexes and their Alexandrov-topology operators.
 
 A complex is stored by its maximal simplices over interned integer vertex
-ids; every other face is implicit and enumerated on demand, which a complex
-that may have more than `MAX_FACES` faces refuses up front. The integer
-order of the interned ids is the fixed total vertex order used everywhere
-for orientation signs, so results are reproducible across runs.
+ids; every other face is enumerated once, on first use, into the face index,
+which a complex that may have more than `MAX_FACES` faces refuses up front.
+The integer order of the interned ids is the fixed total vertex order used
+everywhere for orientation signs, so results are reproducible across runs.
 
 Open sets in the Alexandrov topology are unions of stars; closed sets are
 exactly the subcomplexes. The operators star, closure, link and frontier
@@ -33,8 +33,8 @@ from .errors import (
 
 Simplex = tuple[int, ...]
 
-# Faces are enumerated on demand; a complex whose maximal simplices could
-# have more faces than this, counted as the sum of 2^|m| - 1, is refused.
+# The face index enumerates every face; a complex whose maximal simplices
+# could have more faces than this, counted as the sum of 2^|m| - 1, is refused.
 MAX_FACES = 2**22
 
 
@@ -67,15 +67,15 @@ def intern_labels(
 class SimplicialComplex:
     """Locally finite abstract simplicial complex stored by maximal simplices.
 
-    Instances are immutable after construction. The face lists, the face
-    index and the per-vertex index populate lazily, each built in full
-    before it is stored and never changed afterwards; the face index's
-    closure-mask cache only gains entries, each with its one possible
-    value. Concurrent readers are safe: a racing recomputation produces an
-    identical value.
+    Instances are immutable after construction. The face index, the one
+    store of the faces, and the per-vertex index populate lazily, each built
+    in full before it is stored and never changed afterwards; the face
+    index's closure-mask cache only gains entries, each with its one
+    possible value. Concurrent readers are safe: a racing recomputation
+    produces an identical value.
     """
 
-    __slots__ = ("maximal", "labels", "dim", "_face_bound", "_faces_by_dim", "_index", "_containing")
+    __slots__ = ("maximal", "labels", "dim", "_index", "_containing")
 
     def __init__(self, maximal: frozenset[Simplex], labels: tuple[Hashable, ...]):
         # Unchecked precondition: maximal holds ascending id tuples forming an
@@ -84,8 +84,6 @@ class SimplicialComplex:
         self.maximal = maximal
         self.labels = labels
         self.dim = max((len(s) - 1 for s in maximal), default=-1)
-        self._face_bound = sum((1 << len(s)) - 1 for s in maximal)
-        self._faces_by_dim: dict[int, tuple[Simplex, ...]] = {}
         self._index: _FaceIndex | None = None
         self._containing: dict[int, list[frozenset[int]]] | None = None
 
@@ -129,30 +127,17 @@ class SimplicialComplex:
             raise ValueError("dimension must be non-negative")
         if k > self.dim:
             return ()
-        cached = self._faces_by_dim.get(k)
-        if cached is None:
-            if self._face_bound > MAX_FACES:
-                raise PreconditionError(
-                    f"complex may have up to {self._face_bound} faces (the sum of 2^|m| - 1 "
-                    f"over its maximal simplices m), above the limit of {MAX_FACES}"
-                )
-            found = set()
-            for m in self.maximal:
-                if len(m) >= k + 1:
-                    found.update(combinations(m, k + 1))
-            cached = tuple(sorted(found))
-            self._faces_by_dim[k] = cached
-        return cached
+        index = self._face_index()
+        return index.faces[index.starts[k]:index.starts[k + 1]]
 
     def all_faces(self) -> Iterator[Simplex]:
-        for k in range(self.dim + 1):
-            yield from self.faces(k)
+        return iter(self._face_index().faces)
 
     def __iter__(self) -> Iterator[Simplex]:
         return self.all_faces()
 
     def __len__(self) -> int:
-        return sum(len(self.faces(k)) for k in range(self.dim + 1))
+        return len(self._face_index().faces)
 
     def __contains__(self, simplex) -> bool:
         # Only the maximal simplices containing the rarest vertex can contain
@@ -192,6 +177,8 @@ class SimplicialComplex:
 
     def _is_face(self, simplex) -> bool:
         """Whether simplex is a face in ascending vertex order; never enumerates faces."""
+        if not isinstance(simplex, tuple):
+            return False
         if self._index is not None:  # its ids are exactly the ascending faces
             return simplex in self._index.ids
         return simplex in self and all(a < b for a, b in zip(simplex, simplex[1:]))
@@ -301,23 +288,37 @@ class SimplicialComplex:
 
 
 class _FaceIndex:
-    """Every face of a complex numbered once, in `all_faces` order.
+    """Every face of a complex, enumerated and numbered once: its one face store.
 
-    Ids run by dimension, then lexicographically, so the faces of dimension
-    k hold the ids from starts[k] up to starts[k + 1]. A set of faces is an
-    int mask with bit i standing for face i. vertex_masks[v] marks the faces
-    that contain vertex v, so the star of a face is the AND of its vertices'
-    masks. `down` caches the closure mask of each face some closure reached.
+    Building it is refused up front when the complex may have more than
+    `MAX_FACES` faces. Ids run by dimension, then lexicographically, so the
+    faces of dimension k hold the ids from starts[k] up to starts[k + 1]. A
+    set of faces is an int mask with bit i standing for face i.
+    vertex_masks[v] marks the faces that contain vertex v, so the star of a
+    face is the AND of its vertices' masks. `down` caches the closure mask
+    of each face some closure reached.
     """
 
     __slots__ = ("faces", "ids", "starts", "vertex_masks", "full", "down")
 
     def __init__(self, complex: SimplicialComplex):
-        self.faces = tuple(complex.all_faces())  # refused up front above MAX_FACES
-        self.ids = {s: i for i, s in enumerate(self.faces)}
+        bound = sum((1 << len(m)) - 1 for m in complex.maximal)
+        if bound > MAX_FACES:
+            raise PreconditionError(
+                f"complex may have up to {bound} faces (the sum of 2^|m| - 1 "
+                f"over its maximal simplices m), above the limit of {MAX_FACES}"
+            )
+        faces: list[Simplex] = []
         self.starts = [0]
         for k in range(complex.dim + 1):
-            self.starts.append(self.starts[-1] + len(complex.faces(k)))
+            level = set()
+            for m in complex.maximal:
+                if len(m) > k:
+                    level.update(combinations(m, k + 1))
+            faces.extend(sorted(level))
+            self.starts.append(len(faces))
+        self.faces = tuple(faces)
+        self.ids = {s: i for i, s in enumerate(self.faces)}
         containing: list[list[int]] = [[] for _ in range(complex.n_vertices)]
         for i, s in enumerate(self.faces):
             for v in s:
@@ -394,12 +395,12 @@ class SimplexSet:
     __slots__ = ("complex", "_members", "_mask")
 
     def __init__(self, complex: SimplicialComplex, members: Iterable[Simplex]):
-        members = frozenset(members)
-        for s in members:
+        members = tuple(members)
+        for s in members:  # before hashing, so a list member is refused too
             if not complex._is_face(s):
                 raise UnknownSimplexError(f"{s} is not a face of the complex")
         self.complex = complex
-        self._members: frozenset[Simplex] | None = members
+        self._members: frozenset[Simplex] | None = frozenset(members)
         self._mask: int | None = None
 
     @classmethod

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import Simplex, SimplexSet, SimplicialComplex
-from .errors import NotClosedError, NotOpenError, PreconditionError, UnknownSimplexError
+from .errors import NotClosedError, NotOpenError, PreconditionError
 from .linalg import ExactMatrix, IncrementalRank, kernel_basis, rank, solve_in_image
 
 BettiVector = tuple[int, ...]
@@ -70,9 +70,7 @@ def _chain_complex(basis: SimplexSet) -> ChainComplexRep:
 
 def relative_chain_complex(complex: SimplicialComplex, excluded) -> ChainComplexRep:
     """Chain complex of the pair (X, Y) for a closed subset Y of X."""
-    excluded_set = (
-        excluded if isinstance(excluded, SimplexSet) else complex.simplex_set(excluded)
-    )
+    excluded_set = complex._coerce(excluded)
     if not complex.is_closed(excluded_set):
         raise NotClosedError("excluded set must be a subcomplex (closed)")
     return _chain_complex(excluded_set.complement())
@@ -95,7 +93,7 @@ def _excised_chain_complex(complex: SimplicialComplex, open_set: SimplexSet) -> 
 
 
 def _require_open(complex: SimplicialComplex, subset) -> SimplexSet:
-    open_set = subset if isinstance(subset, SimplexSet) else complex.simplex_set(subset)
+    open_set = complex._coerce(subset)
     if not complex.is_open(open_set):
         raise NotOpenError("subset is not open in the Alexandrov topology")
     return open_set
@@ -123,8 +121,6 @@ def local_betti_direct(complex: SimplicialComplex, open_set) -> BettiVector:
 
 def local_betti_at(complex: SimplicialComplex, simplex: Simplex) -> BettiVector:
     """Local Betti numbers at the star of a single simplex."""
-    if simplex not in complex:
-        raise UnknownSimplexError(f"{simplex} is not a face of the complex")
     return local_betti(complex, complex.star([simplex]))
 
 

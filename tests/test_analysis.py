@@ -125,6 +125,27 @@ def test_unknown_simplex_profile(five_path):
         local_profile(five_path, (9,), 0)
 
 
+def test_seed_entry_points_reject_non_faces():
+    # Unknown, out of order, repeated, and a list rather than a tuple; each
+    # checked before and after the face index exists.
+    entry_points = (
+        lambda x, seed: local_profile(x, seed, 0),
+        lambda x, seed: profile_many(x, [seed]),
+        lambda x, seed: filtration_persistence(x, seed, 0, 0),
+        lambda x, seed: local_betti_at(x, seed),
+        lambda x, seed: classify(x, seed, 1),
+        lambda x, seed: generalized_degree(x, seed),
+    )
+    for built in (False, True):
+        for call in entry_points:
+            for seed in ((9,), (1, 0), (0, 0), [0]):
+                x = SimplicialComplex.from_maximal([[0, 1], [1, 2]])
+                if built:
+                    assert len(x.full_set()) == 5
+                with pytest.raises(UnknownSimplexError, match="is not a face of the complex"):
+                    call(x, seed)
+
+
 def test_profile_many_identical_across_runs(five_path):
     first = profile_many(five_path, m_max=1)
     second = profile_many(five_path, m_max=1)

@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import combinations
 
 import pytest
 
@@ -12,8 +13,10 @@ from localhomology import (
     UnknownSimplexError,
     complex_from_json_dict,
     complex_to_json_dict,
+    filtration_persistence,
     global_betti,
     local_betti_at,
+    local_profile,
 )
 
 from util import (
@@ -120,6 +123,8 @@ def test_huge_simplex_fails_fast_without_enumerating_faces():
     for enumerate_faces in (
         lambda: global_betti(x),
         lambda: local_betti_at(x, (3,)),
+        lambda: local_profile(x, (3,), 0),
+        lambda: filtration_persistence(x, (3,), 0, 0),
         lambda: x.star([(3,)]),
         lambda: len(x),
     ):
@@ -157,6 +162,24 @@ def test_two_dimensional_faces_of_k4_flag(k4_flag):
     }
     assert set(k4_flag.faces(2)) == expected
     assert len(k4_flag) == 15
+
+
+def test_face_enumeration_matches_every_subset_of_every_maximal_simplex():
+    rng = random.Random(53)
+    complexes = [SimplicialComplex.from_maximal([])]
+    complexes += [
+        random_complex(rng, n_vertices=rng.randint(1, 9), n_maximal=rng.randint(1, 7), max_size=6)
+        for _ in range(100)
+    ]
+    for x in complexes:
+        subsets = {f for m in x.maximal for r in range(1, len(m) + 1) for f in combinations(m, r)}
+        naive = sorted(subsets, key=lambda f: (len(f), f))
+        assert list(x.all_faces()) == naive and list(x) == naive
+        assert len(x) == len(naive)
+        for k in range(x.dim + 3):  # two dimensions past the top are empty
+            assert x.faces(k) == tuple(f for f in naive if len(f) == k + 1)
+        with pytest.raises(ValueError):
+            x.faces(-1)
 
 
 def test_downward_closure_property():
@@ -426,15 +449,16 @@ def test_connected_components_match_pairwise_oracle():
 
 def test_simplex_set_constructor_rejects_non_faces():
     # Non-faces, unknown vertices, vertices out of order or repeated, and
-    # non-tuples; checked both before and after the face index exists.
+    # non-tuples, lists included; checked both before and after the face
+    # index exists.
     x = SimplicialComplex.from_maximal([[0, 1, 2]])
-    bad = [(0, 5), (5,), (1, 0), (0, 0), (0, 1, 2, 3), (), 0, "0"]
+    bad = [(0, 5), (5,), (1, 0), (0, 0), (0, 1, 2, 3), (), 0, "0", [0], [0, 1]]
     for built in (False, True):
         if built:
             assert len(x.full_set()) == 7
         for member in bad:
-            with pytest.raises(UnknownSimplexError):
-                SimplexSet(x, frozenset({member}))
+            with pytest.raises(UnknownSimplexError, match="is not a face of the complex"):
+                SimplexSet(x, [member])
         assert SimplexSet(x, [(0, 1), (2,)]) == x.simplex_set([(2,), (0, 1)])
 
 
