@@ -146,17 +146,23 @@ class SimplicialComplex:
             return False
         if self._containing is None:
             self._containing = _index_by_vertex(self.maximal)
-        s = frozenset(simplex)
+        try:
+            s = frozenset(simplex)
+        except TypeError:  # an unhashable vertex is not a vertex id
+            return False
         candidates = min((self._containing.get(v, ()) for v in s), key=len)
         return any(s <= m for m in candidates)
 
     def simplex_with_labels(self, labels: Iterable[Hashable]) -> Simplex:
         """Canonical simplex for a collection of original vertex labels."""
         index = {label: i for i, label in enumerate(self.labels)}
-        try:
-            simplex = tuple(sorted(index[label] for label in labels))
-        except KeyError as exc:
-            raise UnknownSimplexError(f"unknown vertex label {exc.args[0]!r}") from exc
+        ids = []
+        for label in labels:
+            try:
+                ids.append(index[label])
+            except (KeyError, TypeError) as exc:  # TypeError: an unhashable label
+                raise UnknownSimplexError(f"unknown vertex label {label!r}") from exc
+        simplex = tuple(sorted(ids))
         if simplex not in self:
             raise UnknownSimplexError(f"{simplex} is not a face of the complex")
         return simplex
@@ -180,7 +186,10 @@ class SimplicialComplex:
         if not isinstance(simplex, tuple):
             return False
         if self._index is not None:  # its ids are exactly the ascending faces
-            return simplex in self._index.ids
+            try:
+                return simplex in self._index.ids
+            except TypeError:  # an unhashable vertex
+                return False
         return simplex in self and all(a < b for a, b in zip(simplex, simplex[1:]))
 
     def _face_index(self) -> "_FaceIndex":
@@ -473,19 +482,6 @@ class SimplexSet:
         for s in self.members:
             out.update(s)
         return frozenset(out)
-
-    def by_dimension(self) -> dict[int, tuple[Simplex, ...]]:
-        """Members by dimension, each in lexicographic order; empty dimensions are left out.
-
-        Ascending face ids run by dimension and then lexicographically, so
-        the set bits are read in order and nothing is sorted.
-        """
-        faces = self.complex._face_index().faces
-        levels: dict[int, list[Simplex]] = {}
-        for i in _ascending(self.mask):
-            s = faces[i]
-            levels.setdefault(len(s) - 1, []).append(s)
-        return {k: tuple(level) for k, level in levels.items()}
 
     def connected_components(self) -> int:
         """Components of the face-inclusion relation restricted to the set.

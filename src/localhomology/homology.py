@@ -2,18 +2,19 @@
 
 The relative chain space of a pair (X, Y) with Y a subcomplex has one basis
 element per face of X outside Y; the boundary of a face keeps only those
-facets that also lie outside Y. Local homology at an open set U is computed
-by excision as the relative homology of (cl U, fr U), whose chain complex
-has exactly the faces of U as its basis. A direct route that works on all
-of X relative to the complement of U is kept alongside as an oracle; both
-must produce the same Betti numbers.
+facets that also lie outside Y, and each chain complex is built in one pass
+over its basis mask. Local homology at an open set U is computed by
+excision as the relative homology of (cl U, fr U), whose chain complex has
+exactly the faces of U as its basis. A direct route on all of X relative to
+the complement of U is kept alongside as an oracle; both must produce the
+same Betti numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import Simplex, SimplexSet, SimplicialComplex
+from .complexes import Simplex, SimplexSet, SimplicialComplex, _ascending
 from .errors import NotClosedError, NotOpenError, PreconditionError
 from .linalg import ExactMatrix, IncrementalRank, kernel_basis, rank, solve_in_image
 
@@ -44,28 +45,33 @@ class ChainComplexRep:
 
 
 def _chain_complex(basis: SimplexSet) -> ChainComplexRep:
-    """Chain complex on the given basis faces of a relative pair.
+    """Chain complex on the given basis faces of a relative pair, in one pass.
 
-    Dropping the vertex at position i of a basis face gives a facet with
-    sign (-1)^i, vertices in ascending interned order. The signed facet
-    enters the boundary column exactly when it is a basis face one
-    dimension down; the others lie in the excluded subcomplex.
+    Face ids ascend by dimension, then lexicographically, so the basis mask
+    read lowest id first lists each dimension's basis in order and every
+    facet before the faces that have it. The facet dropping the vertex at
+    position i enters a face's column, with sign (-1)^i, when it is a basis
+    face; the other facets lie in the excluded subcomplex.
     """
-    levels = basis.by_dimension()
-    bases = tuple(levels.get(k, ()) for k in range(basis.complex.dim + 1))
-    boundaries = []
-    for k, level in enumerate(bases):
-        lower = bases[k - 1] if k else ()
-        entries: dict[tuple[int, int], int] = {}
-        if level and lower:
-            rows = {s: i for i, s in enumerate(lower)}
-            for col, simplex in enumerate(level):
-                for i in range(k + 1):
-                    row = rows.get(simplex[:i] + simplex[i + 1:])
-                    if row is not None:
-                        entries[(row, col)] = -1 if i % 2 else 1
-        boundaries.append(ExactMatrix(len(lower), len(level), entries))
-    return ChainComplexRep(bases=bases, boundaries=tuple(boundaries))
+    faces = basis.complex._face_index().faces
+    levels: list[list[Simplex]] = [[] for _ in range(basis.complex.dim + 1)]
+    columns: list[dict[int, dict[int, int]]] = [{} for _ in levels]
+    position: dict[Simplex, int] = {}  # basis face -> its place in its dimension
+    for face_id in _ascending(basis.mask):
+        s = faces[face_id]
+        level = levels[len(s) - 1]
+        column = {}
+        for i in range(len(s)):
+            row = position.get(s[:i] + s[i + 1:])
+            if row is not None:
+                column[row] = -1 if i % 2 else 1
+        if column:  # stored as built; empty columns are left out
+            columns[len(s) - 1][len(level)] = column
+        position[s] = len(level)
+        level.append(s)
+    sizes = [len(level) for level in levels]  # boundary k maps size k to size k - 1
+    boundaries = tuple(map(ExactMatrix._stored, [0] + sizes, sizes, columns))
+    return ChainComplexRep(bases=tuple(map(tuple, levels)), boundaries=boundaries)
 
 
 def relative_chain_complex(complex: SimplicialComplex, excluded) -> ChainComplexRep:
@@ -79,17 +85,12 @@ def relative_chain_complex(complex: SimplicialComplex, excluded) -> ChainComplex
 def betti(chain_complex: ChainComplexRep) -> BettiVector:
     """Betti numbers: basis size minus adjacent boundary ranks per dimension."""
     ranks = [rank(m) for m in chain_complex.boundaries] + [0]
-    return tuple(
-        len(chain_complex.bases[k]) - ranks[k] - ranks[k + 1]
-        for k in range(len(chain_complex.bases))
-    )
+    return tuple(len(basis) - ranks[k] - ranks[k + 1] for k, basis in enumerate(chain_complex.bases))
 
 
 def _excised_chain_complex(complex: SimplicialComplex, open_set: SimplexSet) -> ChainComplexRep:
     """Chain complex of (cl U, fr U); its basis is exactly the faces of U."""
-    closure = complex.closure(open_set)
-    frontier = complex.frontier(open_set)
-    return _chain_complex(closure & frontier.complement())
+    return _chain_complex(complex.closure(open_set) & complex.frontier(open_set).complement())
 
 
 def _require_open(complex: SimplicialComplex, subset) -> SimplexSet:
@@ -102,8 +103,6 @@ def _require_open(complex: SimplicialComplex, subset) -> SimplexSet:
 def local_betti(complex: SimplicialComplex, open_set) -> BettiVector:
     """Local Betti numbers at an open set, via excision."""
     u = _require_open(complex, open_set)
-    if complex.dim < 0:
-        return ()
     return betti(_excised_chain_complex(complex, u))
 
 
@@ -114,8 +113,6 @@ def local_betti_direct(complex: SimplicialComplex, open_set) -> BettiVector:
     cross-check `local_betti`.
     """
     u = _require_open(complex, open_set)
-    if complex.dim < 0:
-        return ()
     return betti(relative_chain_complex(complex, u.complement()))
 
 
@@ -125,8 +122,6 @@ def local_betti_at(complex: SimplicialComplex, simplex: Simplex) -> BettiVector:
 
 
 def global_betti(complex: SimplicialComplex) -> BettiVector:
-    if complex.dim < 0:
-        return ()
     return betti(relative_chain_complex(complex, complex.empty_set()))
 
 
@@ -166,8 +161,7 @@ def homology_basis(complex: SimplicialComplex, open_set) -> HomologyBasis:
         if k + 1 < len(rep.bases):
             for column in rep.boundaries[k + 1].columns.values():
                 chooser.add(column)
-        chosen = [z for z in cycles if chooser.add(z)]
-        all_reps.append(tuple(chosen))
+        all_reps.append(tuple(z for z in cycles if chooser.add(z)))
     return HomologyBasis(chain_bases=rep.bases, representatives=tuple(all_reps))
 
 

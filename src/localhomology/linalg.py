@@ -1,12 +1,12 @@
 """Exact linear algebra over the rationals.
 
-All Betti-number computations in this package reduce to ranks, kernels and
-solves on sparse signed incidence matrices. Vectors, and the columns an
-`ExactMatrix` stores, have one form: {index: value} dicts of nonzero `int`
-or `Fraction` values, to which every input is brought by the rule of
-`_vector`. The computations share one exact elimination loop, `_reduce`:
-each column is scaled to integers by the lcm of its denominators (an
-all-`int` column is copied as it is), and the columns are reduced left to
+All Betti-number computations here reduce to ranks, kernels and solves on
+sparse signed incidence matrices. Vectors, and the columns an `ExactMatrix`
+stores, have one form: {index: value} dicts of nonzero `int` or `Fraction`
+values, to which every input is brought by the rule of `_vector` (boundary
+matrices are built in it). The computations share one exact elimination loop,
+`_reduce`: each column is scaled to integers by the lcm of its denominators
+(an all-`int` column is copied as is), and the columns are reduced left to
 right by their lowest nonzero row, the standard boundary-matrix reduction,
 done fraction-free so every entry stays a Python `int`. For kernels and
 solves each column also carries tags that record the column operations
@@ -24,17 +24,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 
 class ExactMatrix:
     """Sparse matrix with exact rational entries, stored by column.
 
     `columns` maps each column index to that column's nonzero entries,
-    {row: value}; all-zero columns are absent. Values given as int stay int,
-    others become Fraction, and since Fraction(1) == 1 with equal hashes,
-    equality and hashing ignore which. `entries`, the (row, col) -> value
-    map, is built from the columns on each access. Immutable once
+    {row: value}; all-zero columns are absent. Both constructors bring each
+    column to `_vector`'s rule and share one store. Values given as int stay
+    int, others become Fraction, and since Fraction(1) == 1 with equal
+    hashes, equality and hashing ignore which. `entries`, the (row, col) ->
+    value map, is built from the columns on each access. Immutable once
     constructed: nothing here or in the reductions writes to the stored
     columns, and the tagged pivots that `solve_in_image` builds on first use
     are a cache of a value determined by them, so concurrent readers are safe.
@@ -43,25 +44,26 @@ class ExactMatrix:
     __slots__ = ("rows", "cols", "columns", "_solve_pivots")
 
     def __init__(self, rows: int, cols: int, entries: Mapping[tuple, object] | None = None):
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be non-negative")
-        self.rows = rows
-        self.cols = cols
-        columns: dict[int, dict[int, Fraction | int]] = {}
+        grouped: dict[int, dict[int, object]] = {}
         for (i, j), value in (entries or {}).items():
-            if not (0 <= i < rows and 0 <= j < cols):
+            if not 0 <= j < cols:
                 raise ValueError(f"entry position ({i}, {j}) outside {rows}x{cols} matrix")
-            q = value if type(value) is int else Fraction(value)
-            if q:
-                columns.setdefault(j, {})[i] = q
-        self.columns = columns
-        self._solve_pivots: dict[int, dict[int, int]] | None = None
+            grouped.setdefault(j, {})[i] = value
+        self._hold(rows, cols, _columns(rows, cols, grouped.items()))
 
     @classmethod
     def from_columns(cls, columns: Sequence[Mapping[int, object]], rows: int) -> "ExactMatrix":
         """The matrix whose j-th column is the {row: value} vector columns[j]."""
-        entries = {(i, j): v for j, column in enumerate(columns) for i, v in column.items()}
-        return cls(rows, len(columns), entries)
+        return cls._stored(rows, len(columns), _columns(rows, len(columns), enumerate(columns)))
+
+    @classmethod
+    def _stored(cls, rows: int, cols: int, columns: dict[int, dict[int, Fraction | int]]) -> "ExactMatrix":
+        """Unchecked: the columns are already in the stored form, as the library builds them."""
+        return cls.__new__(cls)._hold(rows, cols, columns)
+
+    def _hold(self, rows: int, cols: int, columns: dict[int, dict[int, Fraction | int]]) -> "ExactMatrix":
+        self.rows, self.cols, self.columns, self._solve_pivots = rows, cols, columns, None
+        return self
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
@@ -112,10 +114,10 @@ class ExactMatrix:
 def _vector(vector: Mapping[int, object], size: int | None = None) -> dict[int, Fraction | int]:
     """The nonzero entries of an {index: value} vector, as a new dict.
 
-    The one input rule, which `ExactMatrix.__init__` applies to each entry:
-    an index must lie in range(size), or be non-negative without a size
-    (keys below zero are tags); zeros are dropped, `int` values stay `int`,
-    others become `Fraction`.
+    The one input rule, which `ExactMatrix.__init__` and `from_columns`
+    apply to each column: an index must lie in range(size), or be
+    non-negative without a size (keys below zero are tags); zeros are
+    dropped, `int` values stay `int`, others become `Fraction`.
     """
     out = {}
     for i, value in vector.items():
@@ -125,6 +127,13 @@ def _vector(vector: Mapping[int, object], size: int | None = None) -> dict[int, 
         if q:
             out[i] = q
     return out
+
+
+def _columns(rows: int, cols: int, columns: Iterable[tuple[int, Mapping[int, object]]]) -> dict[int, dict[int, Fraction | int]]:
+    """(column index, {row: value}) pairs in the stored form, by `_vector`'s rule."""
+    if rows < 0 or cols < 0:
+        raise ValueError("matrix dimensions must be non-negative")
+    return {j: column for j, raw in columns if (column := _vector(raw, rows))}
 
 
 def _integer_column(column: Mapping[int, Fraction | int], tag: int | None = None) -> dict[int, int]:

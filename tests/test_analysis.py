@@ -126,8 +126,8 @@ def test_unknown_simplex_profile(five_path):
 
 
 def test_seed_entry_points_reject_non_faces():
-    # Unknown, out of order, repeated, and a list rather than a tuple; each
-    # checked before and after the face index exists.
+    # Unknown, out of order, repeated, a list rather than a tuple, and an
+    # unhashable vertex; each checked before and after the face index exists.
     entry_points = (
         lambda x, seed: local_profile(x, seed, 0),
         lambda x, seed: profile_many(x, [seed]),
@@ -138,7 +138,7 @@ def test_seed_entry_points_reject_non_faces():
     )
     for built in (False, True):
         for call in entry_points:
-            for seed in ((9,), (1, 0), (0, 0), [0]):
+            for seed in ((9,), (1, 0), (0, 0), [0], ([0],)):
                 x = SimplicialComplex.from_maximal([[0, 1], [1, 2]])
                 if built:
                     assert len(x.full_set()) == 5

@@ -218,8 +218,7 @@ def test_star_of_v_in_k4_flag(k4_flag):
     star = k4_flag.star([v])
     # v itself, three edges, three 2-dimensional faces, one 3-dimensional.
     assert len(star) == 8
-    by_dim = star.by_dimension()
-    assert [len(by_dim.get(k, ())) for k in range(4)] == [1, 3, 3, 1]
+    assert [sum(len(s) - 1 == k for s in star.members) for k in range(4)] == [1, 3, 3, 1]
     assert all(v[0] in s for s in star.members)
 
 
@@ -305,6 +304,19 @@ def test_membership_matches_naive_scan():
         queries += [(), [0], 0, "0", None, frozenset({0}), (0, 0)]
         for q in queries:
             assert (q in x) == naive_contains(x, q), q
+
+
+def test_unhashable_vertex_is_unknown():
+    # A tuple seed holding a list, before and after the face index is built.
+    for built in (False, True):
+        x = SimplicialComplex.from_maximal([[0, 1], [1, 2]])
+        if built:
+            assert len(x) == 5
+        assert ([0],) not in x
+        with pytest.raises(UnknownSimplexError, match="is not a face of the complex"):
+            x.simplex_set([([0],)])
+        with pytest.raises(UnknownSimplexError, match="unknown vertex label"):
+            x.simplex_with_labels([[0]])
 
 
 def test_closure_of_edge(k4_graph_complex):

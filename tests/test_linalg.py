@@ -42,6 +42,10 @@ def test_entry_bounds_rejected():
     for column in ({2: 1}, {-1: 1}, {2: 0}):
         with pytest.raises(ValueError):
             ExactMatrix.from_columns([column], 2)
+    with pytest.raises(ValueError):
+        ExactMatrix(-1, 0)
+    with pytest.raises(ValueError):
+        ExactMatrix.from_columns([], -1)
 
 
 def test_rank_zero_matrix():
