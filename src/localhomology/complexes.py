@@ -302,13 +302,14 @@ class _FaceIndex:
     Building it is refused up front when the complex may have more than
     `MAX_FACES` faces. Ids run by dimension, then lexicographically, so the
     faces of dimension k hold the ids from starts[k] up to starts[k + 1]. A
-    set of faces is an int mask with bit i standing for face i.
-    vertex_masks[v] marks the faces that contain vertex v, so the star of a
-    face is the AND of its vertices' masks. `down` caches the closure mask
-    of each face some closure reached.
+    set of faces is an int mask with bit i standing for face i. facets[i]
+    holds the ids of face i's facets, the j-th dropping vertex j: the one
+    boundary table. vertex_masks[v] marks the faces containing vertex v, so
+    a face's star is the AND of its vertices' masks. `down` caches the
+    closure mask of each face some closure reached.
     """
 
-    __slots__ = ("faces", "ids", "starts", "vertex_masks", "full", "down")
+    __slots__ = ("faces", "ids", "facets", "starts", "vertex_masks", "full", "down")
 
     def __init__(self, complex: SimplicialComplex):
         bound = sum((1 << len(m)) - 1 for m in complex.maximal)
@@ -327,7 +328,8 @@ class _FaceIndex:
             faces.extend(sorted(level))
             self.starts.append(len(faces))
         self.faces = tuple(faces)
-        self.ids = {s: i for i, s in enumerate(self.faces)}
+        ids = self.ids = {s: i for i, s in enumerate(self.faces)}
+        self.facets = tuple(tuple(ids[s[:j] + s[j + 1:]] for j in range(len(s)) if len(s) > 1) for s in self.faces)
         containing: list[list[int]] = [[] for _ in range(complex.n_vertices)]
         for i, s in enumerate(self.faces):
             for v in s:
@@ -349,11 +351,9 @@ class _FaceIndex:
         """Mask of the faces of face i, itself included: its closure."""
         mask = self.down.get(i)
         if mask is None:
-            face = self.faces[i]
             mask = 1 << i
-            if len(face) > 1:
-                for j in range(len(face)):
-                    mask |= self.down_mask(self.ids[face[:j] + face[j + 1:]])
+            for facet in self.facets[i]:
+                mask |= self.down_mask(facet)
             self.down[i] = mask
         return mask
 

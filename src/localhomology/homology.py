@@ -2,12 +2,12 @@
 
 The relative chain space of a pair (X, Y) with Y a subcomplex has one basis
 element per face of X outside Y; the boundary of a face keeps only those
-facets that also lie outside Y, and each chain complex is built in one pass
-over its basis mask. Local homology at an open set U is computed by
-excision as the relative homology of (cl U, fr U), whose chain complex has
-exactly the faces of U as its basis. A direct route on all of X relative to
-the complement of U is kept alongside as an oracle; both must produce the
-same Betti numbers.
+facets that also lie outside Y. Each chain complex is built in one pass over
+its basis mask, reading each face's facet ids from the face index. Local
+homology at an open set U is computed by excision as the relative homology
+of (cl U, fr U), whose chain complex has exactly the faces of U as its
+basis. A direct route on all of X relative to the complement of U is kept
+as an oracle; both must produce the same Betti numbers.
 """
 
 from __future__ import annotations
@@ -49,25 +49,25 @@ def _chain_complex(basis: SimplexSet) -> ChainComplexRep:
 
     Face ids ascend by dimension, then lexicographically, so the basis mask
     read lowest id first lists each dimension's basis in order and every
-    facet before the faces that have it. The facet dropping the vertex at
-    position i enters a face's column, with sign (-1)^i, when it is a basis
+    facet before the faces that have it. Facet j of a face, read by id from
+    the face index, enters its column with sign (-1)^j when it is a basis
     face; the other facets lie in the excluded subcomplex.
     """
-    faces = basis.complex._face_index().faces
+    index = basis.complex._face_index()
     levels: list[list[Simplex]] = [[] for _ in range(basis.complex.dim + 1)]
     columns: list[dict[int, dict[int, int]]] = [{} for _ in levels]
-    position: dict[Simplex, int] = {}  # basis face -> its place in its dimension
+    position: dict[int, int] = {}  # basis face id -> its place in its dimension
     for face_id in _ascending(basis.mask):
-        s = faces[face_id]
+        s = index.faces[face_id]
         level = levels[len(s) - 1]
         column = {}
-        for i in range(len(s)):
-            row = position.get(s[:i] + s[i + 1:])
+        for j, facet in enumerate(index.facets[face_id]):
+            row = position.get(facet)
             if row is not None:
-                column[row] = -1 if i % 2 else 1
+                column[row] = -1 if j % 2 else 1
         if column:  # stored as built; empty columns are left out
             columns[len(s) - 1][len(level)] = column
-        position[s] = len(level)
+        position[face_id] = len(level)
         level.append(s)
     sizes = [len(level) for level in levels]  # boundary k maps size k to size k - 1
     boundaries = tuple(map(ExactMatrix._stored, [0] + sizes, sizes, columns))
