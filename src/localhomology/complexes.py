@@ -154,14 +154,17 @@ class SimplicialComplex:
         return any(s <= m for m in candidates)
 
     def simplex_with_labels(self, labels: Iterable[Hashable]) -> Simplex:
-        """Canonical simplex for a collection of original vertex labels."""
+        """Canonical simplex for a collection of distinct original vertex labels."""
         index = {label: i for i, label in enumerate(self.labels)}
+        labels = list(labels)
         ids = []
         for label in labels:
             try:
                 ids.append(index[label])
             except (KeyError, TypeError) as exc:  # TypeError: an unhashable label
                 raise UnknownSimplexError(f"unknown vertex label {label!r}") from exc
+        if len(set(ids)) != len(ids):
+            raise MalformedSimplexError(f"repeated vertex in simplex {labels!r}")
         simplex = tuple(sorted(ids))
         if simplex not in self:
             raise UnknownSimplexError(f"{simplex} is not a face of the complex")
@@ -172,10 +175,10 @@ class SimplicialComplex:
 
     def cofacets(self, simplex: Simplex) -> tuple[Simplex, ...]:
         """Faces one dimension up that contain the given simplex, in lexicographic order."""
-        index = self._face_index()
-        i = index.ids.get(simplex)
-        if i is None or len(simplex) > self.dim:
+        if not self._is_face(simplex) or len(simplex) > self.dim:
             return ()
+        index = self._face_index()
+        i = index.ids[simplex]
         # The cofacets are the star's faces in the id range of the next dimension.
         lo, hi = index.starts[len(simplex)], index.starts[len(simplex) + 1]
         ups = (index.star_mask(i) >> lo) & ((1 << (hi - lo)) - 1)

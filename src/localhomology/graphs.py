@@ -6,7 +6,7 @@ from fractions import Fraction
 from typing import Hashable, Iterable, Sequence
 
 from .complexes import SimplicialComplex, intern_labels
-from .errors import MalformedInputError, UnknownVertexError
+from .errors import MalformedInputError, PreconditionError, UnknownVertexError
 
 
 class Graph:
@@ -236,8 +236,15 @@ def read_edge_list(path) -> Graph:
 
 
 def format_edge_list(graph: Graph) -> str:
-    """Render a graph in the edge-list format, with a vertex count header."""
+    """Render a graph in the edge-list format, with a vertex count header.
+
+    A labeled graph is written as bare label pairs, which cannot carry an
+    isolated vertex, so one raises `PreconditionError`.
+    """
     if graph.labels != tuple(range(graph.n)):
+        for v, neighbors in enumerate(graph.adjacency):
+            if not neighbors:
+                raise PreconditionError(f"isolated vertex {graph.labels[v]!r} needs an n= header and integer ids")
         lines = [f"{graph.labels[u]} {graph.labels[v]}" for u, v in graph.edges]
         return "\n".join(lines) + "\n"
     lines = [f"n={graph.n}"]

@@ -253,13 +253,16 @@ def test_exit_code_unknown_simplex(tetra_json, capsys):
         # String labels that no vertex of the complex carries.
         ("local --simplex=--1", '{"maximal_simplices": [[0, 1]]}', 2),
         ("local --simplex=\u00b2", '{"maximal_simplices": [[0, 1]]}', 2),
+        # A label repeated within a simplex is malformed, not an unknown face.
+        ("local --simplex=0,0", '{"maximal_simplices": [[0, 1]]}', 1),
         # Vertex ids that do not index the "labels" array.
         ("betti", '{"maximal_simplices": [[-1, 0]], "labels": ["a", "b"]}', 1),
         ("betti", '{"maximal_simplices": [[true, 0]], "labels": ["a", "b"]}', 1),
     ],
     ids=[
         "betti-list", "local-list", "flag-dashes", "flag-superscript",
-        "simplex-dashes", "simplex-superscript", "betti-negative-id", "betti-bool-id",
+        "simplex-dashes", "simplex-superscript", "simplex-repeated", "betti-negative-id",
+        "betti-bool-id",
     ],
 )
 def test_bad_labels_exit_with_an_error_line(command, text, code, tmp_path, capsys):

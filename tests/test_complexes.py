@@ -135,6 +135,8 @@ def test_huge_simplex_fails_fast_without_enumerating_faces():
 def test_simplex_lookup_errors(triangle):
     with pytest.raises(UnknownSimplexError):
         triangle.simplex_with_labels(["a", "z"])
+    with pytest.raises(MalformedSimplexError):
+        triangle.simplex_with_labels(["a", "a"])
     # Faces are named in ascending vertex order, without repeats.
     for not_a_face in [(5,)], [(1, 0)], [(0, 0)]:
         with pytest.raises(UnknownSimplexError):
@@ -532,6 +534,9 @@ def test_cofacets(triangle):
     )
     abc = triangle.simplex_with_labels(["a", "b", "c"])
     assert triangle.cofacets(abc) == ()
+    # Every non-face, an unhashable vertex included, has no cofacets.
+    for not_a_face in (5,), (1, 0), ([0],), [0]:
+        assert triangle.cofacets(not_a_face) == ()
 
 
 # -- JSON --------------------------------------------------------------------

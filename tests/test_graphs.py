@@ -8,6 +8,7 @@ import pytest
 from localhomology import (
     Graph,
     MalformedInputError,
+    PreconditionError,
     UnknownVertexError,
     flag_complex,
     format_edge_list,
@@ -234,6 +235,17 @@ def test_edge_list_round_trip():
     back = parse_edge_list(text)
     assert back.n == 5
     assert back.edges == g.edges
+
+
+def test_labeled_edge_list_refuses_isolated_vertices():
+    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    # The leaves keep their labels 1..3 and have no edge among them.
+    with pytest.raises(PreconditionError, match="isolated vertex 1"):
+        format_edge_list(star.open_neighborhood(0))
+    # Without isolated vertices a labeled graph round-trips as label pairs.
+    path = star.induced_subgraph([0, 2, 3])
+    assert format_edge_list(path) == "0 2\n0 3\n"
+    assert parse_edge_list(format_edge_list(path)).labels == path.labels
 
 
 def test_edge_list_comments_and_header():
