@@ -136,41 +136,31 @@ class Graph:
 
 
 def maximal_cliques(graph: Graph) -> list[tuple[int, ...]]:
-    """All maximal cliques, Bron-Kerbosch with degeneracy ordering and pivoting.
+    """All maximal cliques, by one pivoted Bron-Kerbosch call on every vertex.
+
+    The pivot maximizes its neighbors among the candidates, which makes the
+    enumeration worst-case optimal, O(3^(n/3)) (Tomita, Tanaka & Takahashi,
+    TCS 2006). No vertex order is imposed: the order of traversal never
+    changes the set of cliques, and the list is sorted at the end.
 
     Isolated vertices yield singleton cliques. The result is sorted
     lexicographically, each clique an ascending vertex tuple.
     """
     adj = graph.adjacency
-    # Degeneracy order: repeatedly remove a minimum-degree vertex.
-    remaining_deg = {v: len(adj[v]) for v in range(graph.n)}
-    order = []
-    alive = set(range(graph.n))
-    while alive:
-        v = min(alive, key=lambda u: (remaining_deg[u], u))
-        order.append(v)
-        alive.remove(v)
-        for w in adj[v]:
-            if w in alive:
-                remaining_deg[w] -= 1
-
     cliques: list[tuple[int, ...]] = []
 
     def expand(base: list[int], candidates: set[int], excluded: set[int]) -> None:
         if not candidates and not excluded:
             cliques.append(tuple(sorted(base)))
             return
-        pivot = max(candidates | excluded, key=lambda u: (len(adj[u] & candidates), -u))
-        for v in sorted(candidates - adj[pivot]):
+        pivot = max(candidates | excluded, key=lambda u: len(adj[u] & candidates))
+        for v in candidates - adj[pivot]:
             expand(base + [v], candidates & adj[v], excluded & adj[v])
             candidates.remove(v)
             excluded.add(v)
 
-    position = {v: i for i, v in enumerate(order)}
-    for v in order:
-        later = {w for w in adj[v] if position[w] > position[v]}
-        earlier = {w for w in adj[v] if position[w] < position[v]}
-        expand([v], later, earlier)
+    if graph.n:
+        expand([], set(range(graph.n)), set())
     return sorted(cliques)
 
 
