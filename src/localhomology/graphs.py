@@ -55,7 +55,7 @@ class Graph:
                 raise MalformedInputError(f"edge {p!r} does not have two endpoints")
         if n is not None:
             for u, v in pairs:
-                if not (isinstance(u, int) and isinstance(v, int)):
+                if not (type(u) is int and type(v) is int):
                     raise MalformedInputError("vertex ids must be integers when a count is declared")
             return cls(n, [(u, v) for u, v in pairs])
         labels, edges = intern_labels(pairs, MalformedInputError)

@@ -177,7 +177,7 @@ def random_walk_betweenness(graph: Graph) -> VertexScores:
     np.add.at(sums, tails, edge_sums)
     np.add.at(sums, heads, edge_sums)
     # Half of sums plus (n-1)/2 for the endpoints, over n(n-1)/2 pairs.
-    return VertexScores("random_walk_betweenness", tuple((sums + n - 1) / (n * (n - 1))))
+    return VertexScores("random_walk_betweenness", tuple(((sums + n - 1) / (n * (n - 1))).tolist()))
 
 
 def maximal_clique_count(graph: Graph) -> VertexScores:

@@ -12,6 +12,7 @@ coerced to zero.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from importlib import resources
@@ -211,16 +212,29 @@ def erdos_renyi_graph(n: int, edges: int, seed: int) -> Graph:
     possible = n * (n - 1) // 2
     if edges > possible:
         raise PreconditionError(f"cannot place {edges} edges on {n} vertices")
-    all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     for attempt in range(100):
         rng = random.Random(seed * 1_000_003 + attempt)
-        chosen = rng.sample(all_pairs, edges)
+        # sample() reads only the population's length and indices, so sampling
+        # pair indices picks the same pairs as sampling the list of all pairs.
+        chosen = [_pair_at(k, n, possible) for k in rng.sample(range(possible), edges)]
         graph = Graph(n, chosen)
         if graph.is_connected():
             return graph
     raise PreconditionError(
         f"no connected sample with n={n}, edges={edges} after 100 attempts"
     )
+
+
+def _pair_at(k: int, n: int, possible: int) -> tuple[int, int]:
+    """The k-th pair (u, v), u < v, of n vertices in lexicographic order.
+
+    Row u holds the n - 1 - u pairs that start at u. Counted from the last
+    pair, index possible - 1 - k lies in the row holding t pairs, where t is
+    the least with t(t + 1)/2 beyond it; `isqrt` keeps that exact.
+    """
+    back = possible - 1 - k
+    u = n - 2 - (math.isqrt(8 * back + 1) - 1) // 2
+    return u, k - u * (2 * n - u - 1) // 2 + u + 1
 
 
 def barabasi_albert_graph(n: int, attach: int, seed: int) -> Graph:

@@ -10,14 +10,17 @@ from localhomology import (
     MalformedInputError,
     PreconditionError,
     UnknownVertexError,
+    barabasi_albert_graph,
+    erdos_renyi_graph,
     flag_complex,
     format_edge_list,
     karate_graph,
     maximal_cliques,
     parse_edge_list,
+    planar_grid_graph,
 )
 
-from util import oracle_flag_complex
+from util import oracle_flag_complex, oracle_maximal_cliques
 
 
 @pytest.fixture
@@ -206,6 +209,38 @@ def test_bron_kerbosch_properties():
         assert {v for c in cliques for v in c} == set(range(g.n))
 
 
+def test_maximal_cliques_equal_the_subset_oracle():
+    # Completeness, not just the antichain: a triangle whose edges all lie in
+    # other cliques must still be found.
+    rng = random.Random(17)
+    for _ in range(150):
+        n = rng.randint(0, 10)
+        g = random_graph(rng, n, p=rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
+        assert maximal_cliques(g) == oracle_maximal_cliques(g)
+    hidden = Graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (1, 4), (2, 4), (0, 5), (2, 5)])
+    assert (0, 1, 2) in maximal_cliques(hidden)
+    assert maximal_cliques(hidden) == oracle_maximal_cliques(hidden)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        erdos_renyi_graph(40, 60, seed=1),
+        erdos_renyi_graph(60, 300, seed=2),
+        erdos_renyi_graph(60, 900, seed=3),
+        erdos_renyi_graph(30, 300, seed=4),
+        barabasi_albert_graph(60, 3, seed=5),
+        planar_grid_graph(8, 7, 0.6, seed=6),
+        Graph(7, []),
+    ],
+    ids=["er-sparse", "er-mid", "er-half", "er-dense", "ba-hubs", "grid-diagonals", "edgeless"],
+)
+def test_maximal_cliques_match_networkx(graph):
+    nxg = nx.Graph(list(graph.edges))
+    nxg.add_nodes_from(range(graph.n))
+    assert maximal_cliques(graph) == sorted(tuple(sorted(c)) for c in nx.find_cliques(nxg))
+
+
 def test_degenerate_graphs():
     empty = Graph(0, [])
     assert maximal_cliques(empty) == []
@@ -246,6 +281,13 @@ def test_labeled_edge_list_refuses_isolated_vertices():
     path = star.induced_subgraph([0, 2, 3])
     assert format_edge_list(path) == "0 2\n0 3\n"
     assert parse_edge_list(format_edge_list(path)).labels == path.labels
+
+
+def test_bool_vertex_ids_refused_when_count_declared():
+    # True is an int to isinstance, but the edge list could not be read back.
+    for pair in [(True, 0), (0, False)]:
+        with pytest.raises(MalformedInputError, match="must be integers"):
+            Graph.from_edge_list([pair], n=2)
 
 
 def test_edge_list_comments_and_header():

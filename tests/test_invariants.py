@@ -21,6 +21,7 @@ from localhomology import (
     planar_grid_graph,
     random_walk_betweenness,
 )
+from localhomology.stats import VERTEX_INVARIANTS
 
 from util import (
     oracle_betweenness,
@@ -252,6 +253,13 @@ def test_clustering_scores_vectorized():
     g = random_connected_graph(rng, 8)
     scores = clustering_scores(g).values
     assert scores == tuple(float(g.clustering_coefficient(v)) for v in range(g.n))
+
+
+def test_every_invariant_yields_python_floats():
+    g = karate_graph()
+    for fn in VERTEX_INVARIANTS:
+        assert all(type(v) is float for v in fn(g).values), fn.__name__
+    assert all(type(v) is float for v in betweenness_edge(g).values.values())
 
 
 def test_all_scores_non_negative():

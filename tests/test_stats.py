@@ -16,6 +16,8 @@ from localhomology import (
     planar_grid_graph,
 )
 
+from util import oracle_erdos_renyi_graph
+
 
 # -- pearson -------------------------------------------------------------------
 
@@ -90,6 +92,18 @@ def test_erdos_renyi_exact_edge_count_and_determinism():
     assert a.edge_count == 146
     assert a.edges == b.edges
     assert a.is_connected()
+
+
+def test_erdos_renyi_equals_the_all_pairs_sampler():
+    # Decoding sampled pair indices must pick exactly the pairs that sampling
+    # the list of all pairs picks, attempt by attempt.
+    retried = 0
+    for n, edges, seed in [(0, 0, 0), (2, 1, 0), (100, 600, 1), (120, 600, 7), (60, 1000, 2), (30, 60, 5), (20, 25, 3)]:
+        expected, attempts = oracle_erdos_renyi_graph(n, edges, seed)
+        got = erdos_renyi_graph(n, edges, seed)
+        assert (got.n, got.edges) == (expected.n, expected.edges)
+        retried += attempts > 0
+    assert retried >= 2  # (30, 60, 5) and (20, 25, 3) need connectivity retries
 
 
 def test_erdos_renyi_infeasible_rejected():

@@ -307,6 +307,24 @@ def oracle_flag_complex(graph: Graph) -> SimplicialComplex:
     return SimplicialComplex.from_maximal(singletons + cliques)
 
 
+def oracle_maximal_cliques(graph: Graph) -> list[tuple[int, ...]]:
+    """Maximal cliques by testing every vertex subset; only for n <= 10 or so.
+
+    A nonempty subset is a maximal clique when its vertices are pairwise
+    adjacent and no other vertex is adjacent to all of them.
+    """
+    adj = graph.adjacency
+    out = []
+    for size in range(1, graph.n + 1):
+        for subset in combinations(range(graph.n), size):
+            if not all(v in adj[u] for u, v in combinations(subset, 2)):
+                continue
+            if any(all(w in adj[u] for u in subset) for w in range(graph.n) if w not in subset):
+                continue
+            out.append(subset)
+    return sorted(out)
+
+
 def naive_maximal(simplices) -> set[frozenset]:
     """Inputs, as label sets, that are no proper subset of another input."""
     sets = [frozenset(s) for s in simplices]
@@ -361,6 +379,21 @@ def oracle_rank_minors(rows) -> int:
                 if det(sub) != 0:
                     return size
     return 0
+
+
+def oracle_erdos_renyi_graph(n: int, edges: int, seed: int) -> tuple[Graph, int]:
+    """The Erdos-Renyi sampler that draws from a list of all n(n-1)/2 pairs.
+
+    Returns the first connected sample and the number of disconnected
+    attempts before it, with the seeds `erdos_renyi_graph` uses.
+    """
+    all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for attempt in range(100):
+        rng = random.Random(seed * 1_000_003 + attempt)
+        graph = Graph(n, rng.sample(all_pairs, edges))
+        if graph.is_connected():
+            return graph, attempt
+    raise AssertionError(f"no connected sample with n={n}, edges={edges}")
 
 
 def oracle_betweenness(graph: Graph) -> list[Fraction]:
