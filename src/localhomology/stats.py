@@ -228,9 +228,9 @@ def erdos_renyi_graph(n: int, edges: int, seed: int) -> Graph:
 def _pair_at(k: int, n: int, possible: int) -> tuple[int, int]:
     """The k-th pair (u, v), u < v, of n vertices in lexicographic order.
 
-    Row u holds the n - 1 - u pairs that start at u. Counted from the last
-    pair, index possible - 1 - k lies in the row holding t pairs, where t is
-    the least with t(t + 1)/2 beyond it; `isqrt` keeps that exact.
+    Row u holds the n - 1 - u pairs that start at u, so counted back from
+    the last pair the rows hold 1, 2, 3, ... pairs and the row of k follows
+    from a triangular-number root, which `isqrt` takes exactly.
     """
     back = possible - 1 - k
     u = n - 2 - (math.isqrt(8 * back + 1) - 1) // 2
