@@ -71,8 +71,8 @@ def classify(complex: SimplicialComplex, simplex: Simplex, n: int) -> str:
 class LocalProfile:
     """Local Betti numbers of one simplex across neighborhood levels.
 
-    The classification is read off the level-0 vector against the ambient
-    dimension that was requested (the complex dimension by default).
+    The classification is read off the level-0 vector against the complex
+    dimension; `classify` reads one simplex against any other n.
     """
 
     simplex: Simplex
@@ -80,19 +80,13 @@ class LocalProfile:
     classification: str
 
 
-def local_profile(
-    complex: SimplicialComplex,
-    simplex: Simplex,
-    m_max: int,
-    ambient_dim: Optional[int] = None,
-) -> LocalProfile:
+def local_profile(complex: SimplicialComplex, simplex: Simplex, m_max: int) -> LocalProfile:
     filtration = neighborhood_filtration(complex, [simplex], m_max)
     levels = tuple(local_betti(complex, level) for level in filtration.levels)
-    n = complex.dim if ambient_dim is None else ambient_dim
     return LocalProfile(
         simplex=simplex,
         betti_by_level=levels,
-        classification=_classify_vector(levels[0], n),
+        classification=_classify_vector(levels[0], complex.dim),
     )
 
 
@@ -100,11 +94,13 @@ def profile_many(
     complex: SimplicialComplex,
     simplices: Optional[Iterable[Simplex]] = None,
     m_max: int = 0,
-    ambient_dim: Optional[int] = None,
 ) -> list[LocalProfile]:
-    """Profiles for many simplices, in lexicographic simplex order."""
+    """Profiles for many simplices, in lexicographic simplex order.
+
+    Each classification is read against the complex dimension.
+    """
     targets = sorted(complex.all_faces() if simplices is None else simplices)
-    return [local_profile(complex, s, m_max, ambient_dim) for s in targets]
+    return [local_profile(complex, s, m_max) for s in targets]
 
 
 def generalized_degree(complex: SimplicialComplex, simplex: Simplex) -> int:
@@ -126,11 +122,12 @@ def is_homology_n_manifold(
 
     Returns (True, []) when every simplex looks like a manifold interior
     point; otherwise (False, offenders) with the offending simplices in
-    lexicographic order.
+    lexicographic order. Each level-0 profile is read against n, not
+    against the complex dimension its own classification uses.
     """
     interior = manifold_interior(n)
-    profiles = profile_many(complex, m_max=0, ambient_dim=n)
-    offenders = [p.simplex for p in profiles if p.classification != interior]
+    profiles = profile_many(complex, m_max=0)
+    offenders = [p.simplex for p in profiles if _classify_vector(p.betti_by_level[0], n) != interior]
     return (not offenders, offenders)
 
 

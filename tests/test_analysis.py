@@ -247,6 +247,15 @@ def test_manifold_check_matches_per_face_classify_loop():
             assert is_homology_n_manifold(x, n) == (not offenders, offenders)
 
 
+def test_profile_classification_reads_against_complex_dimension():
+    # A profile's class is classify's verdict against dim X; other n go through classify.
+    rng = random.Random(2025)
+    for _ in range(100):
+        x = random_complex(rng, n_vertices=rng.randint(3, 7), n_maximal=rng.randint(1, 6))
+        faces = sorted(x.all_faces())
+        assert [p.classification for p in profile_many(x)] == [classify(x, s, x.dim) for s in faces]
+
+
 def test_wedge_ramifies_at_shared_vertex():
     wedge = wedge_of_two_circles()
     hub = wedge.simplex_with_labels([0])
@@ -261,10 +270,9 @@ def test_wedge_ramifies_at_shared_vertex():
     "call",
     [
         lambda x: classify(x, (0,), -1),
-        lambda x: local_profile(x, (0,), 0, ambient_dim=-1),
         lambda x: is_homology_n_manifold(x, -1),
     ],
-    ids=["classify", "local_profile", "is_homology_n_manifold"],
+    ids=["classify", "is_homology_n_manifold"],
 )
 def test_negative_manifold_dimension_rejected(call):
     # Zero homology in every degree is no interior of any dimension.
