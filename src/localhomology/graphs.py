@@ -23,10 +23,12 @@ class Graph:
         adj: list[set[int]] = [set() for _ in range(n)]
         canonical: set[tuple[int, int]] = set()
         for u, v in edges:
-            if u == v:
-                raise MalformedInputError(f"loop at vertex {u} is not allowed")
+            if not (type(u) is int and type(v) is int):
+                raise MalformedInputError(f"edge ({u!r}, {v!r}): vertex ids must be integers")
             if not (0 <= u < n and 0 <= v < n):
                 raise MalformedInputError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
+            if u == v:
+                raise MalformedInputError(f"loop at vertex {u} is not allowed")
             if u > v:
                 u, v = v, u
             canonical.add((u, v))
@@ -46,18 +48,16 @@ class Graph:
 
         Without an explicit vertex count the vertex set is exactly the
         labels appearing in edges, interned to dense ids in encounter order
-        (within one pair, smaller label first). With `n` given, labels must
-        already be integers in 0..n-1 and isolated vertices are kept.
+        (within one pair, smaller label first). With `n` given, the pairs go
+        to `Graph(n, pairs)` as they are: each label must already be an `int`
+        id in 0..n-1 (not a bool or a float), and isolated vertices are kept.
         """
         pairs = [tuple(p) for p in pairs]
         for p in pairs:
             if len(p) != 2:
                 raise MalformedInputError(f"edge {p!r} does not have two endpoints")
         if n is not None:
-            for u, v in pairs:
-                if not (type(u) is int and type(v) is int):
-                    raise MalformedInputError("vertex ids must be integers when a count is declared")
-            return cls(n, [(u, v) for u, v in pairs])
+            return cls(n, pairs)
         labels, edges = intern_labels(pairs, MalformedInputError)
         return cls(len(labels), edges, labels)
 
@@ -74,7 +74,7 @@ class Graph:
         return self.adjacency[v]
 
     def _check_vertex(self, v: int) -> None:
-        if not (0 <= v < self.n):
+        if not (type(v) is int and 0 <= v < self.n):
             raise UnknownVertexError(f"vertex {v} not in graph with {self.n} vertices")
 
     def has_edge(self, u: int, v: int) -> bool:

@@ -284,10 +284,30 @@ def test_labeled_edge_list_refuses_isolated_vertices():
 
 
 def test_bool_vertex_ids_refused_when_count_declared():
-    # True is an int to isinstance, but the edge list could not be read back.
-    for pair in [(True, 0), (0, False)]:
+    # True is an int to isinstance, but the edge list could not be read back;
+    # (0, False) is no loop, though 0 == False.
+    for pair in [(True, 0), (0, False), (0.0, 1)]:
         with pytest.raises(MalformedInputError, match="must be integers"):
             Graph.from_edge_list([pair], n=2)
+        with pytest.raises(MalformedInputError, match="must be integers"):
+            Graph(2, [pair])
+
+
+@pytest.mark.parametrize("bad", [True, 1.5], ids=["bool", "float"])
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda g, v: g.degree(v),
+        lambda g, v: g.neighbors(v),
+        lambda g, v: g.has_edge(0, v),
+        lambda g, v: g.induced_subgraph([0, v]),
+    ],
+    ids=["degree", "neighbors", "has_edge", "induced_subgraph"],
+)
+def test_queries_refuse_non_int_vertex_ids(query, bad):
+    g = Graph(3, [(0, 1)])
+    with pytest.raises(UnknownVertexError):
+        query(g, bad)
 
 
 def test_edge_list_comments_and_header():
