@@ -49,19 +49,26 @@ def intern_labels(
     """Labels by dense id and each group as its ids, interning in encounter order.
 
     Labels first seen in the same group are interned in sorted label order,
-    and equal labels share an id. An unhashable or unorderable label raises `error`.
+    and equal labels share an id. An unhashable or unorderable label raises
+    `error`, and so do two labels that are equal but of different types,
+    such as `True` and `1`.
     """
     intern: dict[Hashable, int] = {}
+    labels: list[Hashable] = []
     ids = []
     for group in groups:
         group = list(group)
         try:
             for label in sorted(group, key=_label_sort_key):
-                intern.setdefault(label, len(intern))
+                i = intern.setdefault(label, len(labels))
+                if i == len(labels):
+                    labels.append(label)
+                elif type(labels[i]) is not type(label):
+                    raise error(f"labels {labels[i]!r} and {label!r} are equal but of different types")
         except TypeError as exc:
             raise error(f"unhashable or unorderable labels in {group!r}") from exc
         ids.append(tuple(intern[label] for label in group))
-    return tuple(intern), ids
+    return tuple(labels), ids
 
 
 class SimplicialComplex:
@@ -71,8 +78,11 @@ class SimplicialComplex:
     store of the faces, and the per-vertex index populate lazily, each built
     in full before it is stored and never changed afterwards; the face
     index's closure-mask cache only gains entries, each with its one
-    possible value. Concurrent readers are safe: a racing recomputation
-    produces an identical value.
+    possible value. The operators record on their inputs and results what
+    they learn (open, closed, the closure), and star and closure answer from
+    those facts when they can; each goes only from unknown to known.
+    Concurrent readers are safe: a racing recomputation produces an
+    identical value.
     """
 
     __slots__ = ("maximal", "labels", "dim", "_index", "_containing")
@@ -212,7 +222,7 @@ class SimplicialComplex:
         return SimplexSet(self, members)
 
     def full_set(self) -> "SimplexSet":
-        return SimplexSet._from_mask(self, self._face_index().full)
+        return SimplexSet._from_mask(self, self._face_index().full, open=True, closed=True)
 
     def empty_set(self) -> "SimplexSet":
         return SimplexSet(self, ())
@@ -228,19 +238,24 @@ class SimplicialComplex:
         """Smallest open set containing the subset: the OR of its members' stars.
 
         Members are taken lowest id first, and one already inside the star
-        so far adds nothing and is skipped.
+        so far adds nothing and is skipped. A subset known to be open, or
+        found to be its own star, is returned itself and recorded open.
         """
         a = self._coerce(subset)
-        rest = a.mask
-        if not rest:  # the star of nothing is empty and needs no index
+        if a._open:
             return a
-        index = self._face_index()
-        out = 0
-        while rest:
-            star = index.star_mask((rest & -rest).bit_length() - 1)
-            out |= star
-            rest &= ~star
-        return SimplexSet._from_mask(self, out)
+        mask = rest = a.mask
+        if rest:  # the star of nothing is empty and needs no index
+            index = self._face_index()
+            out = 0
+            while rest:
+                star = index.star_mask((rest & -rest).bit_length() - 1)
+                out |= star
+                rest &= ~star
+            if out != mask:
+                return SimplexSet._from_mask(self, out, open=True)
+        a._open = True
+        return a
 
     def closure(self, subset) -> "SimplexSet":
         """Smallest closed set containing the subset (a subcomplex).
@@ -252,9 +267,15 @@ class SimplicialComplex:
         - Otherwise: the OR of the members' closure masks, taken highest id
           first; a member already inside the closure so far is skipped.
 
-        When cl A is A (A closed), A itself is returned.
+        When cl A is A, A itself is returned and recorded closed. A subset
+        known to be closed is returned at once, and one whose closure was
+        computed before gets that same closure back.
         """
         a = self._coerce(subset)
+        if a._closed:
+            return a
+        if a._closure is not None:
+            return a._closure
         mask = a.mask
         index = self._face_index()
         if 2 * len(a) > len(index.faces):
@@ -267,7 +288,11 @@ class SimplicialComplex:
                 down = index.down_mask(rest.bit_length() - 1)
                 out |= down
                 rest &= ~down
-        return a if out == mask else SimplexSet._from_mask(self, out)
+        if out == mask:
+            a._closed = True
+            return a
+        a._closure = SimplexSet._from_mask(self, out, closed=True)
+        return a._closure
 
     def link(self, subset) -> "SimplexSet":
         """cl(star A) minus (star A union cl A)."""
@@ -278,11 +303,15 @@ class SimplicialComplex:
         return SimplexSet._from_mask(self, cl_st.mask & ~(st.mask | cl.mask))
 
     def frontier(self, subset) -> "SimplexSet":
-        """cl A intersected with cl(X minus A)."""
+        """cl A intersected with cl(X minus A), a closed set.
+
+        For A known open, X minus A is known closed, so its closure is
+        itself and costs nothing.
+        """
         a = self._coerce(subset)
         cl = self.closure(a)
         cl_comp = self.closure(a.complement())
-        return SimplexSet._from_mask(self, cl.mask & cl_comp.mask)
+        return SimplexSet._from_mask(self, cl.mask & cl_comp.mask, closed=True)
 
     def is_open(self, subset) -> bool:
         a = self._coerce(subset)
@@ -402,9 +431,17 @@ class SimplexSet:
     that each is a face in ascending vertex order; the operators build their
     results from masks. Two sets are equal when they belong to the same
     complex and hold the same faces, however each was built.
+
+    A set also keeps what the operators have learned about it: `_open` and
+    `_closed` (False while unknown) and `_closure`, its closure once computed
+    when that is another set. A star is open, a closure and a frontier are
+    closed, the complement swaps the two, and an operator that finds its
+    input unchanged records the fact on the input; star and closure then
+    answer from these facts without touching the masks. Each fact goes only
+    from unknown to known and has one possible value.
     """
 
-    __slots__ = ("complex", "_members", "_mask")
+    __slots__ = ("complex", "_members", "_mask", "_open", "_closed", "_closure")
 
     def __init__(self, complex: SimplicialComplex, members: Iterable[Simplex]):
         members = tuple(members)
@@ -414,14 +451,21 @@ class SimplexSet:
         self.complex = complex
         self._members: frozenset[Simplex] | None = frozenset(members)
         self._mask: int | None = None
+        self._open = self._closed = False
+        self._closure: SimplexSet | None = None
 
     @classmethod
-    def _from_mask(cls, complex: SimplicialComplex, mask: int) -> "SimplexSet":
-        # Unchecked: the mask comes from operators on complex's face index.
+    def _from_mask(
+        cls, complex: SimplicialComplex, mask: int, open: bool = False, closed: bool = False
+    ) -> "SimplexSet":
+        # Unchecked: the mask and the facts come from operators on complex's face index.
         out = cls.__new__(cls)
         out.complex = complex
         out._members = None
         out._mask = mask
+        out._open = open
+        out._closed = closed
+        out._closure = None
         return out
 
     @property
@@ -478,7 +522,9 @@ class SimplexSet:
         return SimplexSet._from_mask(self.complex, self.mask & other.mask)
 
     def complement(self) -> "SimplexSet":
-        return SimplexSet._from_mask(self.complex, self.complex._face_index().full & ~self.mask)
+        """X minus the set: closed when the set is known open, and open when it is known closed."""
+        full = self.complex._face_index().full
+        return SimplexSet._from_mask(self.complex, full & ~self.mask, open=self._closed, closed=self._open)
 
     def vertex_set(self) -> frozenset[int]:
         out: set[int] = set()

@@ -19,6 +19,8 @@ class Graph:
     __slots__ = ("n", "labels", "adjacency", "edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], labels: Sequence[Hashable] | None = None):
+        if not (type(n) is int and n >= 0):  # type(True) is bool
+            raise MalformedInputError(f"vertex count {n!r} is not a non-negative integer")
         self.n = n
         adj: list[set[int]] = [set() for _ in range(n)]
         canonical: set[tuple[int, int]] = set()

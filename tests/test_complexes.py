@@ -112,6 +112,13 @@ def test_interning_is_dense_and_deterministic():
     assert x.labels_of((0, 1)) == ("a", "c")
 
 
+def test_equal_labels_of_different_types_are_refused():
+    with pytest.raises(MalformedSimplexError, match="True and 1"):
+        SimplicialComplex.from_maximal([[True, 2], [1, 3]])
+    with pytest.raises(MalformedSimplexError, match="1 and 1.0"):
+        SimplicialComplex.from_maximal([[1, 2], [1.0]])
+
+
 def test_huge_simplex_fails_fast_without_enumerating_faces():
     # One 40-vertex simplex has 2^40 - 1 faces. Construction, membership and
     # simplex-set validation never enumerate them; anything that would is
@@ -521,6 +528,80 @@ def test_mask_operators_match_naive_oracles():
             ups = tuple(sorted(f for f in faces if len(f) == len(s) + 1 and set(s) <= set(f)))
             assert x.cofacets(s) == ups
     assert min(counts.values()) >= 50
+
+
+def _assert_facts_hold(x, subset):
+    # Every fact a set records must be true of its members.
+    members = subset.members
+    if subset._open:
+        assert naive_star(x, members) == members
+    if subset._closed:
+        assert naive_closure(members) == members
+    if subset._closure is not None:
+        assert subset._closure is not subset
+        assert subset._closure.members == naive_closure(members)
+        assert subset._closure._closed
+
+
+def test_chained_operators_match_naive_oracles_and_record_only_true_facts():
+    # Operators applied to operator results, whose recorded facts let star
+    # and closure skip the masks, against the oracles on every result.
+    rng = random.Random(53)
+    for _ in range(120):
+        x = random_complex(rng, n_vertices=rng.randint(1, 8), n_maximal=rng.randint(1, 6), max_size=5)
+        faces = sorted(x.all_faces())
+        everything = frozenset(faces)
+        density = rng.random()
+        chosen = [f for f in faces if rng.random() < density]
+        a = frozenset(chosen)
+        user = x.simplex_set(chosen)
+        results = [user]
+
+        # is_open and is_closed on a user-built set, before and after the first call records a fact.
+        for _ in range(2):
+            assert x.is_open(user) == (naive_star(x, a) == a)
+            assert x.is_closed(user) == (naive_closure(a) == a)
+
+        star = x.star(user)
+        assert star.members == naive_star(x, a)
+        star_star = x.star(star)
+        assert star_star.members == star.members
+        assert x.is_open(star) and x.is_open(star_star)
+        results += [star, star_star]
+
+        closure = x.closure(user)
+        closure_closure = x.closure(closure)
+        assert closure.members == naive_closure(a) == closure_closure.members
+        assert x.closure(user).members == closure.members  # from the recorded closure
+        assert x.is_closed(closure) and x.is_closed(closure_closure)
+        results += [closure, closure_closure]
+
+        # The complement of an open set is closed, and its closure is itself.
+        rest = star.complement()
+        assert rest.members == everything - star.members
+        assert x.closure(rest).members == rest.members
+        assert x.is_closed(rest) and x.is_open(closure.complement())
+        results += [rest, closure.complement(), x.closure(rest)]
+
+        for subset in (star, closure, user):
+            cl_rest = naive_closure(everything - subset.members)
+            frontier = x.frontier(subset)
+            assert frontier.members == naive_closure(subset.members) & cl_rest
+            assert x.is_closed(frontier)
+            link = x.link(subset)
+            st = naive_star(x, subset.members)
+            assert link.members == naive_closure(st) - (st | naive_closure(subset.members))
+            results += [frontier, frontier.complement(), link]
+
+        neighborhood = x.star(x.closure(star))
+        assert neighborhood.members == naive_star(x, naive_closure(star.members))
+        results += [neighborhood, x.full_set(), x.full_set().complement(), x.empty_set()]
+        for subset in results:
+            _assert_facts_hold(x, subset)
+            # Equality compares masks, so each result's mask meets the oracle's.
+            assert x.star(subset) == x.simplex_set(naive_star(x, subset.members))
+            assert x.closure(subset) == x.simplex_set(naive_closure(subset.members))
+            _assert_facts_hold(x, subset)
 
 
 def test_cofacets(triangle):

@@ -335,6 +335,18 @@ def test_graph_labels_must_be_distinct_and_hashable():
         Graph.from_edge_list([([1], 2)])
 
 
+@pytest.mark.parametrize("n", [-1, True, 2.0], ids=["negative", "bool", "float"])
+def test_graph_refuses_a_vertex_count_that_is_not_a_non_negative_int(n):
+    with pytest.raises(MalformedInputError, match="vertex count"):
+        Graph(n, [])
+
+
+def test_edge_list_refuses_equal_labels_of_different_types():
+    # True == 1, but vertex 1 must not silently become vertex True.
+    with pytest.raises(MalformedInputError, match="True and 1"):
+        Graph.from_edge_list([(True, 2), (1, 3)])
+
+
 def test_edge_list_malformed():
     with pytest.raises(MalformedInputError):
         parse_edge_list("0 1 2\n")
