@@ -24,7 +24,11 @@ class Graph:
         self.n = n
         adj: list[set[int]] = [set() for _ in range(n)]
         canonical: set[tuple[int, int]] = set()
-        for u, v in edges:
+        for edge in edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise MalformedInputError(f"edge {edge!r} is not a pair of vertex ids") from None
             if not (type(u) is int and type(v) is int):
                 raise MalformedInputError(f"edge ({u!r}, {v!r}): vertex ids must be integers")
             if not (0 <= u < n and 0 <= v < n):
@@ -54,10 +58,6 @@ class Graph:
         to `Graph(n, pairs)` as they are: each label must already be an `int`
         id in 0..n-1 (not a bool or a float), and isolated vertices are kept.
         """
-        pairs = [tuple(p) for p in pairs]
-        for p in pairs:
-            if len(p) != 2:
-                raise MalformedInputError(f"edge {p!r} does not have two endpoints")
         if n is not None:
             return cls(n, pairs)
         labels, edges = intern_labels(pairs, MalformedInputError)

@@ -4,14 +4,23 @@ All Betti-number computations here reduce to ranks, kernels and solves on
 sparse signed incidence matrices. Vectors, and the columns an `ExactMatrix`
 stores, have one form: {index: value} dicts of nonzero `int` or `Fraction`
 values, to which every input is brought by the rule of `_vector` (boundary
-matrices are built in it). The computations share one exact elimination loop,
-`_reduce`: each column is scaled to integers by the lcm of its denominators
-(an all-`int` column is copied as is), and the columns are reduced left to
-right by their lowest nonzero row, the standard boundary-matrix reduction,
-done fraction-free so every entry stays a Python `int`. For kernels and
+matrices are built in it). Kernels, solves and the ranks of all but
+graph-shaped matrices share one exact elimination loop, `_reduce`: each
+column is scaled to integers by the lcm of its denominators (an all-`int`
+column is copied as is), and the columns are reduced left to right by their
+lowest nonzero row, the standard boundary-matrix reduction, done
+fraction-free so every entry stays a Python `int`. For kernels and
 solves each column also carries tags that record the column operations
 applied to it (R = D V); a column whose rows all cancel leaves a kernel
 vector, or a solution, in its tags. No tolerance tuning is ever needed.
+
+`rank` alone has a second route. A graph-shaped matrix, each of whose
+columns is x·e_a or x·(e_a - e_b), is the incidence matrix of a graph up to
+column scaling, and its rank is the size of a spanning forest, which a
+union-find scan counts without arithmetic (`_forest_rank`). Every ∂₁ is
+such a matrix, and so is the ∂₂ of a vertex star, whose columns lose the
+edge opposite the vertex. `rank` checks the shape on each call; kernels,
+solves and `IncrementalRank` need pivots, so they always eliminate.
 
 A matrix is reduced for solving once: the first `solve_in_image` on an
 `ExactMatrix` keeps its tagged pivots on the matrix, and every later solve
@@ -213,14 +222,70 @@ def _tagged_reduction(matrix: ExactMatrix) -> tuple[dict[int, dict[int, int]], l
     return pivots, cancelled
 
 
-def rank(matrix: ExactMatrix) -> int:
-    """Rank over the rationals, by fraction-free column reduction over the integers.
+def _forest_rank(columns: Iterable[Mapping[int, Fraction | int]], rows: int) -> int | None:
+    """The rank of graph-shaped columns by a union-find scan, or None if a column is not.
 
-    Scaling a column by a nonzero integer keeps the rank, and so does
-    replacing column j by a*col_j - b*col_i when a, the pivot entry of
+    A column {a: x} is an edge from row a to a ground node -1, and a column
+    {a: x, b: -x} an edge from a to b; any other column gives None. The
+    count of edges that join two trees is the rank (see `rank`). Once it
+    reaches `rows` no later column, of any shape, can raise it, so the scan
+    stops there.
+    """
+    parent: dict[int, int] = {}  # a node absent here is a root
+    get = parent.get
+    merged = 0
+    for column in columns:
+        if merged == rows:
+            break
+        if len(column) == 1:
+            (a,) = column
+            b = -1
+        elif len(column) == 2:
+            (a, x), (b, y) = column.items()
+            if x + y:
+                return None
+        else:
+            return None
+        while a in parent:  # to the roots, halving the paths
+            up = parent[a]
+            parent[a] = a = get(up, up)
+        while b in parent:
+            up = parent[b]
+            parent[b] = b = get(up, up)
+        if a != b:
+            parent[a] = b
+            merged += 1
+    return merged
+
+
+def rank(matrix: ExactMatrix) -> int:
+    """Rank over the rationals.
+
+    A graph-shaped matrix, each of whose columns is x·e_a or x·(e_a - e_b)
+    with x a nonzero rational (∂₁ of every chain complex here, and ∂₂ of
+    a vertex star), is ranked by `_forest_rank` as the size of a spanning
+    forest of its graph, whose nodes are the rows and a ground node joined
+    to each row a of an x·e_a column. Scaling a column keeps the rank, so
+    take every x = 1 and add a ground row holding -1 in each x·e_a column.
+    That gives the signed incidence matrix of the graph, whose rank is its
+    node count less its component count: the edges of a spanning forest are
+    independent (a leaf's row meets only one of them), and every other edge
+    closes a cycle whose signed sum is zero. In it the rows of each component
+    sum to zero, so the ground row is minus the sum of the other rows of
+    its component, and deleting it keeps the rank (Kirchhoff's grounded
+    incidence matrix; Oxley, *Matroid Theory*, §5.1).
+
+    Every other matrix is reduced by fraction-free column reduction over the
+    integers. Scaling a column by a nonzero integer keeps the rank, and so
+    does replacing column j by a*col_j - b*col_i when a, the pivot entry of
     column i at j's lowest row, is nonzero. Reduced nonzero columns have
     distinct lowest rows, so they are independent and their count is the rank.
     """
+    if not matrix.columns:
+        return 0
+    forest = _forest_rank(matrix.columns.values(), matrix.rows)
+    if forest is not None:
+        return forest
     pivots: dict[int, dict[int, int]] = {}
     for j in sorted(matrix.columns):
         if len(pivots) == matrix.rows:

@@ -130,6 +130,10 @@ def correlation_table(
     """
     if subject not in ("vertex", "edge"):
         raise PreconditionError(f"unknown subject {subject!r}")
+    if k_max < 1:
+        raise ValueError("largest homology degree must be at least 1")
+    if m_max < 0:
+        raise ValueError("neighborhood level must be non-negative")
     if not graph.is_connected():
         raise DisconnectedGraphError(
             "correlation table requires a connected graph (closeness and "

@@ -341,6 +341,14 @@ def test_graph_refuses_a_vertex_count_that_is_not_a_non_negative_int(n):
         Graph(n, [])
 
 
+@pytest.mark.parametrize("edge", [(0, 1, 2), (0,), 5], ids=["triple", "single", "int"])
+def test_graph_refuses_an_edge_that_is_not_a_pair(edge):
+    with pytest.raises(MalformedInputError, match="not a pair"):
+        Graph(3, [edge])
+    with pytest.raises(MalformedInputError, match="not a pair"):
+        Graph.from_edge_list([edge], n=3)
+
+
 def test_edge_list_refuses_equal_labels_of_different_types():
     # True == 1, but vertex 1 must not silently become vertex True.
     with pytest.raises(MalformedInputError, match="True and 1"):

@@ -11,7 +11,7 @@ from localhomology import (
     relative_chain_complex,
     solve_in_image,
 )
-from localhomology.linalg import IncrementalRank
+from localhomology.linalg import IncrementalRank, _forest_rank
 
 from util import (
     apply,
@@ -21,6 +21,8 @@ from util import (
     oracle_matmul,
     oracle_rank_dense,
     oracle_rank_minors,
+    random_complex,
+    random_open_set,
     sparse_vector,
     to_dense,
     torus_complex,
@@ -123,6 +125,82 @@ def test_rank_handles_fractions():
 def test_rank_with_large_prime_denominator():
     m = from_rows([[Fraction(1, 2**31 - 1), 1], [0, 1]])
     assert rank(m) == 2
+
+
+# -- graph-shaped matrices: the spanning-forest rank ---------------------------
+
+SCALES = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(7, 5)]
+
+
+def takes_forest(matrix: ExactMatrix) -> bool:
+    return _forest_rank(matrix.columns.values(), matrix.rows) is not None
+
+
+def random_graph_shaped(rng, rows, cols) -> list[dict]:
+    """Columns x*e_a and x*(e_a - e_b) over a random subset of the rows.
+
+    Rows outside the subset stay untouched; a small subset repeats edges
+    and closes cycles, and some columns repeat an earlier one rescaled.
+    """
+    used = rng.sample(range(rows), rng.randint(0, rows))
+    columns = []
+    for _ in range(cols):
+        x = rng.choice(SCALES)
+        draw = rng.random()
+        if not used or draw < 0.1:
+            columns.append({})
+        elif columns and draw < 0.25:
+            columns.append({i: x * v for i, v in rng.choice(columns).items()})
+        elif len(used) < 2 or draw < 0.45:
+            columns.append({rng.choice(used): x})  # joined to the ground
+        else:
+            a, b = rng.sample(used, 2)
+            columns.append({a: x, b: -x})
+    return columns
+
+
+def test_rank_of_graph_shaped_matrices_matches_dense_oracle():
+    rng = random.Random(61)
+    for _ in range(300):
+        rows, cols = rng.randint(0, 8), rng.randint(0, 12)
+        m = ExactMatrix.from_columns(random_graph_shaped(rng, rows, cols), rows)
+        assert takes_forest(m)
+        assert rank(m) == oracle_rank_dense(to_dense(m))
+
+
+def test_rank_of_near_graph_shaped_matrices_matches_dense_oracle():
+    # Two entries that do not sum to zero are no graph edge: a triangle of
+    # e_a + e_b columns has full rank 3, where the triangle graph has 2.
+    triangle = ExactMatrix.from_columns([{0: 1, 1: 1}, {0: 1, 2: 1}, {1: 1, 2: 1}], 3)
+    assert not takes_forest(triangle) and rank(triangle) == 3
+    unbalanced = ExactMatrix.from_columns([{0: 1, 1: -2}, {0: 1, 1: -1}], 2)
+    assert not takes_forest(unbalanced) and rank(unbalanced) == 2
+    rng = random.Random(67)
+    for _ in range(200):
+        rows, cols = rng.randint(2, 7), rng.randint(1, 10)
+        columns = random_graph_shaped(rng, rows, cols)
+        a, b = rng.sample(range(rows), 2)
+        x = rng.choice(SCALES)
+        near = rng.choice([{a: x, b: x}, {a: x, b: -2 * x}])
+        columns.insert(rng.randint(0, cols), near)
+        m = ExactMatrix.from_columns(columns, rows)
+        assert rank(m) == oracle_rank_dense(to_dense(m))
+
+
+def test_rank_of_every_relative_boundary_matches_dense_oracle():
+    # ∂1 of every relative chain complex is graph-shaped and takes the
+    # forest; higher boundaries mostly take elimination. Both must agree
+    # with the dense oracle.
+    rng = random.Random(71)
+    routes = {True: 0, False: 0}
+    for _ in range(120):
+        x = random_complex(rng, rng.randint(3, 8), rng.randint(1, 6), 4)
+        for excluded in (random_open_set(rng, x).complement(), x.empty_set()):
+            for boundary in relative_chain_complex(x, excluded).boundaries:
+                if boundary.columns:
+                    routes[takes_forest(boundary)] += 1
+                assert rank(boundary) == oracle_rank_dense(to_dense(boundary))
+    assert min(routes.values()) >= 50
 
 
 def test_kernel_identity_is_empty():

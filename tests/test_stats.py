@@ -135,6 +135,22 @@ def test_table_requires_connected_graph():
         correlation_table(Graph.from_edge_list([(0, 1), (2, 3)]))
 
 
+@pytest.mark.parametrize(
+    "bounds", [{"k_max": 0}, {"k_max": -1}, {"m_max": -1}], ids=["k0", "k-1", "m-1"]
+)
+def test_table_refuses_bad_degree_or_level_before_any_work(bounds, monkeypatch):
+    # Refused before the connectivity check and before the flag complex is built.
+    import localhomology.stats as stats_module
+
+    def no_work(graph):
+        raise AssertionError("flag complex built for a refused call")
+
+    monkeypatch.setattr(stats_module, "flag_complex", no_work)
+    for graph in (karate_graph(), Graph.from_edge_list([(0, 1), (2, 3)])):
+        with pytest.raises(ValueError, match="degree must be at least 1|level must be non-negative"):
+            correlation_table(graph, **bounds)
+
+
 def test_zero_variance_cells_are_undefined_not_zero():
     # Every vertex of a complete graph has the same local picture, so the
     # Betti columns are constant and the cells must be undefined.
