@@ -49,16 +49,16 @@ def intern_labels(
     """Labels by dense id and each group as its ids, interning in encounter order.
 
     Labels first seen in the same group are interned in sorted label order,
-    and equal labels share an id. An unhashable or unorderable label raises
-    `error`, and so do two labels that are equal but of different types,
-    such as `True` and `1`.
+    and equal labels share an id. A group that is not iterable, or holds an
+    unhashable or unorderable label, raises `error`, and so do two labels
+    that are equal but of different types, such as `True` and `1`.
     """
     intern: dict[Hashable, int] = {}
     labels: list[Hashable] = []
     ids = []
     for group in groups:
-        group = list(group)
         try:
+            group = list(group)
             for label in sorted(group, key=_label_sort_key):
                 i = intern.setdefault(label, len(labels))
                 if i == len(labels):
@@ -66,7 +66,7 @@ def intern_labels(
                 elif type(labels[i]) is not type(label):
                     raise error(f"labels {labels[i]!r} and {label!r} are equal but of different types")
         except TypeError as exc:
-            raise error(f"unhashable or unorderable labels in {group!r}") from exc
+            raise error(f"{group!r} is not a group of hashable, orderable labels") from exc
         ids.append(tuple(intern[label] for label in group))
     return tuple(labels), ids
 

@@ -13,6 +13,7 @@ as an oracle; both must produce the same Betti numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .complexes import Simplex, SimplexSet, SimplicialComplex, _ascending
 from .errors import NotClosedError, NotOpenError, PreconditionError
@@ -70,7 +71,7 @@ def _chain_complex(basis: SimplexSet) -> ChainComplexRep:
         position[face_id] = len(level)
         level.append(s)
     sizes = [len(level) for level in levels]  # boundary k maps size k to size k - 1
-    boundaries = tuple(map(ExactMatrix._stored, [0] + sizes, sizes, columns))
+    boundaries = tuple(map(ExactMatrix._stored, [0] + sizes, sizes, columns, repeat(True)))
     return ChainComplexRep(bases=tuple(map(tuple, levels)), boundaries=boundaries)
 
 
@@ -197,7 +198,8 @@ def induced_map_matrix(
     n_hom = len(columns)
     if k + 1 < len(tgt_rep_obj.bases):
         columns.extend(tgt_rep_obj.boundaries[k + 1].columns.values())
-    span = ExactMatrix.from_columns(columns, len(to_target))
+    # Kernel vectors and boundary columns: nonzero, in range and integral already.
+    span = ExactMatrix._stored(len(to_target), len(columns), dict(enumerate(columns)), True)
 
     out_columns = []
     for z in src_reps:

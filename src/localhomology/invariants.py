@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-import numpy as np
-
 from .errors import DisconnectedGraphError, PreconditionError
 from .graphs import Graph, maximal_cliques
 
@@ -165,6 +163,8 @@ def random_walk_betweenness(graph: Graph) -> VertexScores:
         raise PreconditionError("random-walk betweenness needs at least two vertices")
     if not graph.is_connected():
         raise DisconnectedGraphError("random-walk betweenness requires a connected graph")
+    import numpy as np  # here, not at module level: importing the package must not load numpy
+
     tails, heads = np.array(graph.edges).T
     laplacian = np.zeros((n, n))
     laplacian[tails, heads] = laplacian[heads, tails] = -1.0

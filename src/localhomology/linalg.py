@@ -5,14 +5,16 @@ sparse signed incidence matrices. Vectors, and the columns an `ExactMatrix`
 stores, have one form: {index: value} dicts of nonzero `int` or `Fraction`
 values, to which every input is brought by the rule of `_vector` (boundary
 matrices are built in it). Kernels, solves and the ranks of all but
-graph-shaped matrices share one exact elimination loop, `_reduce`: each
-column is scaled to integers by the lcm of its denominators (an all-`int`
-column is copied as is), and the columns are reduced left to right by their
-lowest nonzero row, the standard boundary-matrix reduction, done
-fraction-free so every entry stays a Python `int`. For kernels and
-solves each column also carries tags that record the column operations
-applied to it (R = D V); a column whose rows all cancel leaves a kernel
-vector, or a solution, in its tags. No tolerance tuning is ever needed.
+graph-shaped matrices share one exact elimination loop, `_reduce`: the
+columns are reduced left to right by their lowest nonzero row, the standard
+boundary-matrix reduction, done fraction-free so every entry stays a Python
+`int`. A matrix records at construction whether it is integral, every stored
+value an `int` (every boundary matrix is); its columns are then read as
+stored, while a column of any other matrix is first scaled to integers by
+the lcm of its denominators. For kernels and solves each column also
+carries tags that record the column operations applied to it (R = D V); a
+column whose rows all cancel leaves a kernel vector, or a solution, in its
+tags. No tolerance tuning is ever needed.
 
 `rank` alone has a second route. A graph-shaped matrix, each of whose
 columns is x·e_a or x·(e_a - e_b), is the incidence matrix of a graph up to
@@ -43,35 +45,40 @@ class ExactMatrix:
     {row: value}; all-zero columns are absent. Both constructors bring each
     column to `_vector`'s rule and share one store. Values given as int stay
     int, others become Fraction, and since Fraction(1) == 1 with equal
-    hashes, equality and hashing ignore which. `entries`, the (row, col) ->
-    value map, is built from the columns on each access. Immutable once
-    constructed: nothing here or in the reductions writes to the stored
-    columns, and the tagged pivots that `solve_in_image` builds on first use
-    are a cache of a value determined by them, so concurrent readers are safe.
+    hashes, equality and hashing ignore which. The same pass records whether
+    the matrix is integral, every stored value an `int`; the reductions read
+    an integral matrix's columns as stored, and `rank`'s pivots may be those
+    column dicts themselves. `entries`, the (row, col) -> value map, is built
+    from the columns on each access. Immutable once constructed: nothing
+    here or in the reductions writes to the stored columns, and the tagged
+    pivots that `solve_in_image` builds on first use are a cache of a value
+    determined by them, so concurrent readers are safe.
     """
 
-    __slots__ = ("rows", "cols", "columns", "_solve_pivots")
+    __slots__ = ("rows", "cols", "columns", "_integral", "_solve_pivots")
 
     def __init__(self, rows: int, cols: int, entries: Mapping[tuple, object] | None = None):
         grouped: dict[int, dict[int, object]] = {}
         for (i, j), value in (entries or {}).items():
-            if not 0 <= j < cols:
-                raise ValueError(f"entry position ({i}, {j}) outside {rows}x{cols} matrix")
+            if type(j) is not int or not 0 <= j < cols:
+                raise ValueError(f"entry position ({i!r}, {j!r}) outside {rows}x{cols} matrix")
             grouped.setdefault(j, {})[i] = value
-        self._hold(rows, cols, _columns(rows, cols, grouped.items()))
+        self._hold(rows, cols, *_columns(rows, cols, grouped.items()))
 
     @classmethod
     def from_columns(cls, columns: Sequence[Mapping[int, object]], rows: int) -> "ExactMatrix":
         """The matrix whose j-th column is the {row: value} vector columns[j]."""
-        return cls._stored(rows, len(columns), _columns(rows, len(columns), enumerate(columns)))
+        return cls._stored(rows, len(columns), *_columns(rows, len(columns), enumerate(columns)))
 
     @classmethod
-    def _stored(cls, rows: int, cols: int, columns: dict[int, dict[int, Fraction | int]]) -> "ExactMatrix":
-        """Unchecked: the columns are already in the stored form, as the library builds them."""
-        return cls.__new__(cls)._hold(rows, cols, columns)
+    def _stored(cls, rows: int, cols: int, columns: dict[int, dict[int, Fraction | int]], integral: bool) -> "ExactMatrix":
+        """Unchecked: the columns are already in the stored form, as the library
+        builds them, and `integral` says whether every stored value is an `int`."""
+        return cls.__new__(cls)._hold(rows, cols, columns, integral)
 
-    def _hold(self, rows: int, cols: int, columns: dict[int, dict[int, Fraction | int]]) -> "ExactMatrix":
-        self.rows, self.cols, self.columns, self._solve_pivots = rows, cols, columns, None
+    def _hold(self, rows: int, cols: int, columns: dict[int, dict[int, Fraction | int]], integral: bool) -> "ExactMatrix":
+        self.rows, self.cols, self.columns = rows, cols, columns
+        self._integral, self._solve_pivots = integral, None
         return self
 
     @classmethod
@@ -120,44 +127,54 @@ class ExactMatrix:
         return ExactMatrix.from_columns(columns, self.rows)
 
 
-def _vector(vector: Mapping[int, object], size: int | None = None) -> dict[int, Fraction | int]:
-    """The nonzero entries of an {index: value} vector, as a new dict.
+def _vector(vector: Mapping[int, object], size: int | None = None) -> tuple[dict[int, Fraction | int], bool]:
+    """The nonzero entries of an {index: value} vector, as a new dict, and
+    whether each of them is an `int`.
 
     The one input rule, which `ExactMatrix.__init__` and `from_columns`
-    apply to each column: an index must lie in range(size), or be
-    non-negative without a size (keys below zero are tags); zeros are
-    dropped, `int` values stay `int`, others become `Fraction`.
+    apply to each column, and `solve_in_image` and `IncrementalRank.add`
+    to the vector they take: an index must be an `int` (not a bool) in
+    range(size), or non-negative without a size (keys below zero are tags);
+    zeros are dropped, `int` values stay `int`, others become `Fraction`.
     """
     out = {}
+    integral = True
     for i, value in vector.items():
-        if i < 0 or (size is not None and i >= size):
-            raise ValueError(f"vector index {i} out of range")
-        q = value if type(value) is int else Fraction(value)
-        if q:
-            out[i] = q
-    return out
+        if type(i) is not int or i < 0 or (size is not None and i >= size):
+            raise ValueError(f"vector index {i!r} is not an int in range")
+        if type(value) is not int:
+            value = Fraction(value)
+            if value:
+                integral = False
+        if value:
+            out[i] = value
+    return out, integral
 
 
-def _columns(rows: int, cols: int, columns: Iterable[tuple[int, Mapping[int, object]]]) -> dict[int, dict[int, Fraction | int]]:
-    """(column index, {row: value}) pairs in the stored form, by `_vector`'s rule."""
+def _columns(rows: int, cols: int, columns: Iterable[tuple[int, Mapping[int, object]]]) -> tuple[dict[int, dict[int, Fraction | int]], bool]:
+    """(column index, {row: value}) pairs in the stored form, by `_vector`'s
+    rule, and whether every stored value is an `int`."""
     if rows < 0 or cols < 0:
         raise ValueError("matrix dimensions must be non-negative")
-    return {j: column for j, raw in columns if (column := _vector(raw, rows))}
+    stored = {}
+    integral = True
+    for j, raw in columns:
+        column, column_integral = _vector(raw, rows)
+        if column:
+            stored[j] = column
+            integral = integral and column_integral
+    return stored, integral
 
 
-def _integer_column(column: Mapping[int, Fraction | int], tag: int | None = None) -> dict[int, int]:
-    """The column times the lcm of its entries' denominators.
+def _scaled(column: Mapping[int, Fraction | int], tag: int | None = None) -> dict[int, int]:
+    """The column times the lcm of its entries' denominators, as a new dict.
 
     With a tag key, the column also records that scale at the tag, so a
-    tagged column always holds the coefficients that produce it. An
-    all-`int` column has scale 1 and is copied as it is.
+    tagged column always holds the coefficients that produce it. Integral
+    columns skip this: they are reduced as they are, at scale 1.
     """
-    if all(type(v) is int for v in column.values()):
-        scale = 1
-        out = dict(column)
-    else:
-        scale = lcm(*(v.denominator for v in column.values()))
-        out = {i: v.numerator * (scale // v.denominator) for i, v in column.items()}
+    scale = lcm(*(v.denominator for v in column.values()))
+    out = {i: v.numerator * (scale // v.denominator) for i, v in column.items()}
     if tag is not None:
         out[tag] = scale
     return out
@@ -216,7 +233,8 @@ def _tagged_reduction(matrix: ExactMatrix) -> tuple[dict[int, dict[int, int]], l
     pivots: dict[int, dict[int, int]] = {}
     cancelled = []
     for j in range(matrix.cols):
-        col = _integer_column(matrix.columns.get(j, {}), -1 - j)
+        column = matrix.columns.get(j, {})
+        col = {**column, -1 - j: 1} if matrix._integral else _scaled(column, -1 - j)
         if not _add_pivot(col, pivots):
             cancelled.append(col)
     return pivots, cancelled
@@ -280,6 +298,10 @@ def rank(matrix: ExactMatrix) -> int:
     does replacing column j by a*col_j - b*col_i when a, the pivot entry of
     column i at j's lowest row, is nonzero. Reduced nonzero columns have
     distinct lowest rows, so they are independent and their count is the rank.
+    An integral matrix's columns are read as stored: a column whose lowest
+    row has no pivot yet becomes that pivot itself, uncopied, since
+    `_reduce` only reads pivots; only a column that meets a pivot is copied
+    and reduced.
     """
     if not matrix.columns:
         return 0
@@ -287,10 +309,17 @@ def rank(matrix: ExactMatrix) -> int:
     if forest is not None:
         return forest
     pivots: dict[int, dict[int, int]] = {}
+    integral = matrix._integral
     for j in sorted(matrix.columns):
         if len(pivots) == matrix.rows:
             break  # every row is a pivot, so every later column reduces to zero
-        _add_pivot(_integer_column(matrix.columns[j]), pivots)
+        column = matrix.columns[j]
+        if not integral:
+            _add_pivot(_scaled(column), pivots)
+        elif (low := max(column)) not in pivots:
+            pivots[low] = column
+        else:
+            _add_pivot(dict(column), pivots)
     return len(pivots)
 
 
@@ -319,7 +348,11 @@ def solve_in_image(matrix: ExactMatrix, target: Mapping[int, object]) -> Optiona
     sees the same pivots.
     """
     n = matrix.cols
-    col = _integer_column(_vector(target, matrix.rows), -1 - n)
+    col, integral = _vector(target, matrix.rows)
+    if integral:
+        col[-1 - n] = 1
+    else:
+        col = _scaled(col, -1 - n)
     pivots = matrix._solve_pivots
     if pivots is None:
         # Built in full before it is stored; a racing solve stores an equal value.
@@ -349,4 +382,5 @@ class IncrementalRank:
 
         The vector, such as a column of `ExactMatrix.columns`, is only read.
         """
-        return _add_pivot(_integer_column(_vector(vector)), self._pivots)
+        col, integral = _vector(vector)
+        return _add_pivot(col if integral else _scaled(col), self._pivots)

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .analysis import profile_many
 from .errors import DisconnectedGraphError, PreconditionError
 from .graphs import Graph, flag_complex, parse_edge_list
@@ -42,6 +40,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> Optional[float]:
         raise PreconditionError("vectors must have equal length")
     if len(x) < 2:
         raise PreconditionError("need at least two observations")
+    import numpy as np  # here, not at module level: importing the package must not load numpy
+
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     xc = xa - xa.mean()

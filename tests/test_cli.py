@@ -2,10 +2,14 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import localhomology
 from localhomology import (
     complex_to_json_dict,
     dump_complex,
@@ -40,6 +44,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_import_loads_no_numpy():
+    # Only pearson and random_walk_betweenness use numpy, and they import it
+    # themselves, so start-up and every command that computes no
+    # correlation do without it.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(localhomology.__file__)))
+    code = "import sys, localhomology, localhomology.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_betti_command(tetra_json, capsys):

@@ -104,6 +104,12 @@ def test_empty_simplex_rejected():
         SimplicialComplex.from_maximal([[]])
 
 
+def test_simplex_that_is_not_iterable_rejected():
+    for simplices in ([5], [[0, 1], None]):
+        with pytest.raises(MalformedSimplexError, match="not a group"):
+            SimplicialComplex.from_maximal(simplices)
+
+
 def test_interning_is_dense_and_deterministic():
     x = SimplicialComplex.from_maximal([["c", "a"], ["b", "a"]])
     # Encounter order with in-simplex label sorting: a, c, then b.

@@ -349,6 +349,13 @@ def test_graph_refuses_an_edge_that_is_not_a_pair(edge):
         Graph.from_edge_list([edge], n=3)
 
 
+def test_edge_list_refuses_an_edge_that_is_not_iterable():
+    # Without a vertex count the labels are interned first.
+    for pairs in ([5], [(0, 1), None]):
+        with pytest.raises(MalformedInputError, match="not a group"):
+            Graph.from_edge_list(pairs)
+
+
 def test_edge_list_refuses_equal_labels_of_different_types():
     # True == 1, but vertex 1 must not silently become vertex True.
     with pytest.raises(MalformedInputError, match="True and 1"):

@@ -50,6 +50,23 @@ def test_entry_bounds_rejected():
         ExactMatrix.from_columns([], -1)
 
 
+@pytest.mark.parametrize("index", [0.5, 0.0, "0", True], ids=["half", "float_zero", "str", "bool"])
+def test_index_that_is_not_an_int_rejected(index):
+    # Only an int is an index; a float, str or bool one would be stored (or
+    # compared) as a position, as 0.5 was.
+    for position in ((index, 0), (0, index)):
+        with pytest.raises(ValueError):
+            ExactMatrix(2, 2, {position: 1})
+    with pytest.raises(ValueError):
+        ExactMatrix.from_columns([{index: 1}], 2)
+    inc = IncrementalRank()
+    with pytest.raises(ValueError):
+        inc.add({index: 1})
+    assert inc.rank == 0
+    with pytest.raises(ValueError):
+        solve_in_image(identity_matrix(2), {index: 1})
+
+
 def test_rank_zero_matrix():
     for shape in [(0, 0), (3, 5), (4, 1)]:
         assert rank(ExactMatrix.zeros(*shape)) == 0
@@ -408,10 +425,31 @@ def test_int_and_fraction_copies_are_equal_and_hash_alike():
         assert ints == fracs and hash(ints) == hash(fracs)
 
 
+def fraction_copy(matrix: ExactMatrix) -> ExactMatrix:
+    """The same matrix with every value a Fraction."""
+    columns = [{i: Fraction(v) for i, v in matrix.columns.get(j, {}).items()} for j in range(matrix.cols)]
+    return ExactMatrix.from_columns(columns, matrix.rows)
+
+
+def chain_matrices(rng, count) -> list[ExactMatrix]:
+    """Boundary matrices as the library stores them, of seeded random
+    complexes relative to nothing and to the complement of an open set."""
+    matrices = []
+    for _ in range(count):
+        x = random_complex(rng, rng.randint(3, 8), rng.randint(1, 6), 5)
+        for excluded in (x.empty_set(), random_open_set(rng, x).complement()):
+            matrices.extend(relative_chain_complex(x, excluded).boundaries)
+    return matrices
+
+
 def test_int_and_fraction_copies_reduce_alike():
-    # rank, kernel_basis and solve_in_image see the same matrices whichever
-    # type the entries have; half the matrices get a dependent column.
+    # rank, kernel_basis, solve_in_image and IncrementalRank.add see the same
+    # matrices whichever type the values have: an int copy is integral and
+    # read as stored, a Fraction copy is scaled by its lcm. The dense
+    # matrices are int copies (half with a dependent column); the chain
+    # matrices are the library's own.
     rng = random.Random(43)
+    int_copies = chain_matrices(rng, 20)
     for _ in range(40):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         data = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
@@ -419,12 +457,22 @@ def test_int_and_fraction_copies_reduce_alike():
             a, b = rng.randint(-2, 2), rng.randint(-2, 2)
             for row in data:
                 row.append(a * row[0] + b * row[-1])
-        ints, fracs = from_rows(data), from_rows(as_fractions(data))
-        assert rank(ints) == rank(fracs) == oracle_rank_dense(data)
+        int_copies.append(from_rows(data))
+    for ints in int_copies:
+        fracs = fraction_copy(ints)
+        assert ints._integral and fracs._integral == (not ints.columns)
+        assert rank(ints) == rank(fracs) == oracle_rank_dense(to_dense(ints))
         assert kernel_basis(ints) == kernel_basis(fracs)
         x0 = [rng.randint(-3, 3) for _ in range(ints.cols)]
         for target in (apply(ints, x0), [rng.randint(-3, 3) for _ in range(ints.rows)]):
             assert solve_in_image(ints, sparse_vector(target)) == solve_in_image(fracs, sparse_vector(target))
+        # The columns, then random vectors: the same ones accepted.
+        vectors = list(ints.columns.values())
+        vectors += [sparse_vector([rng.randint(-2, 2) for _ in range(ints.rows)]) for _ in range(3)]
+        by_int, by_fraction = IncrementalRank(), IncrementalRank()
+        accepts = [by_int.add(v) for v in vectors]
+        assert accepts == [by_fraction.add({i: Fraction(x) for i, x in v.items()}) for v in vectors]
+        assert by_int.rank == rank(ints) + accepts[len(ints.columns):].count(True)
 
 
 # -- storage by column ---------------------------------------------------------
@@ -462,25 +510,29 @@ def test_three_constructions_agree_and_entries_round_trip():
 
 def test_reductions_leave_stored_columns_alone():
     # rank, kernel_basis, two solves and IncrementalRank fed the stored
-    # columns themselves: afterwards the matrix still equals an independent
-    # copy, column by column and entry by entry type. Entries in +-5 force
-    # non-unit pivot steps, which scale columns in place.
+    # columns themselves: afterwards every column still holds the same
+    # values of the same types. The library's chain matrices are integral
+    # and read as stored, so rank's pivots are their column dicts; entries
+    # in +-5 force non-unit pivot steps, which scale columns in place.
     rng = random.Random(59)
-    datasets = [to_dense(relative_chain_complex(torus_complex(), []).boundaries[2])]
+    chain = chain_matrices(rng, 30) + list(relative_chain_complex(torus_complex(), []).boundaries)
+    dense = []
     for _ in range(40):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
-        datasets.append([[rng.choice(ENTRY_CHOICES) for _ in range(cols)] for _ in range(rows)])
-    for data in datasets:
-        m, copy = from_rows(data), from_rows(data)
-        types = {p: type(v) for p, v in copy.entries.items()}
+        dense.append(from_rows([[rng.choice(ENTRY_CHOICES) for _ in range(cols)] for _ in range(rows)]))
+    for m in chain + dense:
+        before = {j: [(i, v, type(v)) for i, v in column.items()] for j, column in m.columns.items()}
         m.entries.clear()  # entries is a new dict, not the storage
-        rank(m)
+        expected = oracle_rank_dense(to_dense(m))
+        assert rank(m) == expected
         kernel_basis(m)
-        for _ in range(2):
-            solve_in_image(m, sparse_vector([rng.randint(-3, 3) for _ in range(m.rows)]))
+        x0 = [rng.randint(-3, 3) for _ in range(m.cols)]
+        for target in (apply(m, x0), [rng.randint(-3, 3) for _ in range(m.rows)]):
+            solve_in_image(m, sparse_vector(target))
         inc = IncrementalRank()
         for column in m.columns.values():
             inc.add(column)
-        assert inc.rank == rank(copy)
-        assert m == copy and m.columns == copy.columns
-        assert {p: type(v) for p, v in m.entries.items()} == types
+        assert inc.rank == expected
+        assert {j: [(i, v, type(v)) for i, v in column.items()] for j, column in m.columns.items()} == before
+    # Columns that reduce to zero met a pivot: rank copied them first.
+    assert sum(not takes_forest(m) and rank(m) < len(m.columns) for m in chain) >= 10
