@@ -18,8 +18,8 @@ RAMIFICATION = "ramification"
 
 
 def manifold_interior(n: int) -> str:
-    if n < 0:
-        raise ValueError("manifold dimension must be non-negative")
+    if type(n) is not int or n < 0:  # type(True) is bool
+        raise ValueError(f"manifold dimension must be non-negative and an int, not {n!r}")
     return f"manifold-interior({n})"
 
 
@@ -39,8 +39,8 @@ class NeighborhoodFiltration:
 
 
 def neighborhood_filtration(complex: SimplicialComplex, seed, m_max: int) -> NeighborhoodFiltration:
-    if m_max < 0:
-        raise ValueError("neighborhood level must be non-negative")
+    if type(m_max) is not int or m_max < 0:
+        raise ValueError(f"neighborhood level must be non-negative and an int, not {m_max!r}")
     levels = [complex.star(seed)]
     for _ in range(m_max):
         levels.append(complex.star(complex.closure(levels[-1])))
@@ -141,8 +141,8 @@ def filtration_persistence(
     larger neighborhood to the smaller); the final entry has no outgoing
     map and records None.
     """
-    if k < 0 or m_max < 0:
-        raise ValueError("homology dimension and neighborhood level must be non-negative")
+    if type(k) is not int or type(m_max) is not int or k < 0 or m_max < 0:
+        raise ValueError(f"homology dimension {k!r} and neighborhood level {m_max!r} must be non-negative ints")
     filtration = neighborhood_filtration(complex, [simplex], m_max + 1)
     out: list[tuple[int, Optional[int]]] = []
     for m in range(m_max + 1):

@@ -195,15 +195,13 @@ class SimplicialComplex:
         return tuple(index.faces[lo + j] for j in _ascending(ups))
 
     def _is_face(self, simplex) -> bool:
-        """Whether simplex is a face in ascending vertex order; never enumerates faces."""
+        """Whether simplex is a face in ascending vertex order: a key of the face index."""
         if not isinstance(simplex, tuple):
             return False
-        if self._index is not None:  # its ids are exactly the ascending faces
-            try:
-                return simplex in self._index.ids
-            except TypeError:  # an unhashable vertex
-                return False
-        return simplex in self and all(a < b for a, b in zip(simplex, simplex[1:]))
+        try:
+            return simplex in self._face_index().ids
+        except TypeError:  # an unhashable vertex
+            return False
 
     def _face_index(self) -> "_FaceIndex":
         if self._index is None:
@@ -215,9 +213,8 @@ class SimplicialComplex:
     def simplex_set(self, members: Iterable[Simplex]) -> "SimplexSet":
         """The members as a set of faces; each must be a face in ascending vertex order.
 
-        Membership is answered from the per-vertex index, or from the face
-        index once it is built, so validation never enumerates the faces of
-        the complex.
+        Each member is looked up in the face index, so a complex that may
+        have more than `MAX_FACES` faces is refused, as by `star`.
         """
         return SimplexSet(self, members)
 
@@ -425,12 +422,12 @@ def _index_by_vertex(simplices: Iterable[Simplex]) -> dict[int, list[frozenset[i
 class SimplexSet:
     """A subset of the faces of a complex; its topology operators live on the complex.
 
-    The faces are held as `members`, a frozenset of simplices, or as `mask`,
-    an int over the complex's face ids, or both: whichever is missing is
-    derived on first use and kept. The constructor takes members and checks
-    that each is a face in ascending vertex order; the operators build their
-    results from masks. Two sets are equal when they belong to the same
-    complex and hold the same faces, however each was built.
+    The faces are held as `mask`, an int over the complex's face ids, fixed
+    at construction. The constructor takes members, checks that each is a
+    face in ascending vertex order and sets their bits; the operators build
+    their results from masks. `members`, the faces as a frozenset of
+    simplices, is derived from the mask on first use and kept. Two sets are
+    equal when they belong to the same complex and have the same mask.
 
     A set also keeps what the operators have learned about it: `_open` and
     `_closed` (False while unknown) and `_closure`, its closure once computed
@@ -444,13 +441,14 @@ class SimplexSet:
     __slots__ = ("complex", "_members", "_mask", "_open", "_closed", "_closure")
 
     def __init__(self, complex: SimplicialComplex, members: Iterable[Simplex]):
+        ids = complex._face_index().ids
         members = tuple(members)
-        for s in members:  # before hashing, so a list member is refused too
+        for s in members:  # so that every id lookup below succeeds
             if not complex._is_face(s):
                 raise UnknownSimplexError(f"{s} is not a face of the complex")
         self.complex = complex
-        self._members: frozenset[Simplex] | None = frozenset(members)
-        self._mask: int | None = None
+        self._members: frozenset[Simplex] | None = None
+        self._mask = _mask_of(map(ids.__getitem__, members), len(ids))
         self._open = self._closed = False
         self._closure: SimplexSet | None = None
 
@@ -477,19 +475,13 @@ class SimplexSet:
 
     @property
     def mask(self) -> int:
-        if self._mask is None:
-            if self._members:
-                ids = self.complex._face_index().ids
-                self._mask = _mask_of(map(ids.__getitem__, self._members), len(ids))
-            else:
-                self._mask = 0
         return self._mask
 
     def __iter__(self) -> Iterator[Simplex]:
         return iter(sorted(self.members))
 
     def __len__(self) -> int:
-        return len(self._members) if self._members is not None else self._mask.bit_count()
+        return self._mask.bit_count()
 
     def __contains__(self, simplex) -> bool:
         return simplex in self.members
@@ -497,14 +489,10 @@ class SimplexSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplexSet):
             return NotImplemented
-        if self.complex is not other.complex:
-            return False
-        if self._mask is None and other._mask is None:
-            return self._members == other._members
-        return self.mask == other.mask
+        return self.complex is other.complex and self._mask == other._mask
 
     def __hash__(self) -> int:
-        return hash((self.complex, self.members))
+        return hash((self.complex, self._mask))
 
     def __repr__(self) -> str:
         return f"SimplexSet(members={self.members!r})"

@@ -181,8 +181,8 @@ def induced_map_matrix(
     v = _require_open(complex, smaller)
     if v.mask & ~u.mask:
         raise PreconditionError("smaller open set must be contained in the larger one")
-    if k < 0:
-        raise ValueError("homology dimension must be non-negative")
+    if type(k) is not int or k < 0:
+        raise ValueError(f"homology dimension must be non-negative and an int, not {k!r}")
     if k > complex.dim:
         return ExactMatrix.zeros(0, 0)
     src = homology_basis(complex, u)

@@ -59,9 +59,10 @@ class ExactMatrix:
 
     def __init__(self, rows: int, cols: int, entries: Mapping[tuple, object] | None = None):
         grouped: dict[int, dict[int, object]] = {}
-        for (i, j), value in (entries or {}).items():
-            if type(j) is not int or not 0 <= j < cols:
-                raise ValueError(f"entry position ({i!r}, {j!r}) outside {rows}x{cols} matrix")
+        for key, value in (entries or {}).items():
+            if not isinstance(key, tuple) or len(key) != 2:
+                raise ValueError(f"entry key {key!r} is not a (row, col) pair")
+            i, j = key
             grouped.setdefault(j, {})[i] = value
         self._hold(rows, cols, *_columns(rows, cols, grouped.items()))
 
@@ -153,12 +154,18 @@ def _vector(vector: Mapping[int, object], size: int | None = None) -> tuple[dict
 
 def _columns(rows: int, cols: int, columns: Iterable[tuple[int, Mapping[int, object]]]) -> tuple[dict[int, dict[int, Fraction | int]], bool]:
     """(column index, {row: value}) pairs in the stored form, by `_vector`'s
-    rule, and whether every stored value is an `int`."""
-    if rows < 0 or cols < 0:
-        raise ValueError("matrix dimensions must be non-negative")
+    rule, and whether every stored value is an `int`.
+
+    Each dimension must be an `int` (not a bool) at least 0, and each column
+    index an `int` in range(cols).
+    """
+    if type(rows) is not int or type(cols) is not int or rows < 0 or cols < 0:
+        raise ValueError(f"matrix dimensions {rows!r}x{cols!r} are not non-negative ints")
     stored = {}
     integral = True
     for j, raw in columns:
+        if type(j) is not int or not 0 <= j < cols:
+            raise ValueError(f"column index {j!r} outside {rows}x{cols} matrix")
         column, column_integral = _vector(raw, rows)
         if column:
             stored[j] = column

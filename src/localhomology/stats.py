@@ -130,10 +130,10 @@ def correlation_table(
     """
     if subject not in ("vertex", "edge"):
         raise PreconditionError(f"unknown subject {subject!r}")
-    if k_max < 1:
-        raise ValueError("largest homology degree must be at least 1")
-    if m_max < 0:
-        raise ValueError("neighborhood level must be non-negative")
+    if type(k_max) is not int or k_max < 1:
+        raise ValueError(f"largest homology degree must be at least 1 and an int, not {k_max!r}")
+    if type(m_max) is not int or m_max < 0:
+        raise ValueError(f"neighborhood level must be non-negative and an int, not {m_max!r}")
     if not graph.is_connected():
         raise DisconnectedGraphError(
             "correlation table requires a connected graph (closeness and "
@@ -211,8 +211,8 @@ def karate_graph() -> Graph:
 
 def erdos_renyi_graph(n: int, edges: int, seed: int) -> Graph:
     """Connected uniform random graph with exactly the requested number of edges."""
-    if n < 0 or edges < 0:
-        raise PreconditionError("vertex and edge counts must be non-negative")
+    if type(n) is not int or type(edges) is not int or n < 0 or edges < 0:
+        raise PreconditionError(f"vertex and edge counts must be non-negative ints, not {n!r} and {edges!r}")
     possible = n * (n - 1) // 2
     if edges > possible:
         raise PreconditionError(f"cannot place {edges} edges on {n} vertices")
@@ -243,8 +243,8 @@ def _pair_at(k: int, n: int, possible: int) -> tuple[int, int]:
 
 def barabasi_albert_graph(n: int, attach: int, seed: int) -> Graph:
     """Preferential attachment: each arriving vertex brings `attach` edges."""
-    if attach < 1 or attach >= n:
-        raise PreconditionError("attachment count must satisfy 1 <= attach < n")
+    if type(n) is not int or type(attach) is not int or not 1 <= attach < n:
+        raise PreconditionError(f"counts must be ints with 1 <= attach < n, not attach={attach!r}, n={n!r}")
     rng = random.Random(seed)
     edges: list[tuple[int, int]] = []
     targets = list(range(attach))
@@ -266,8 +266,8 @@ def planar_grid_graph(width: int, height: int, diag_prob: float, seed: int) -> G
     At most one diagonal is added per face, so the graph stays planar by
     construction.
     """
-    if width < 2 or height < 2:
-        raise PreconditionError("grid needs at least two rows and two columns")
+    if type(width) is not int or type(height) is not int or width < 2 or height < 2:
+        raise PreconditionError(f"grid sides must be ints of at least 2, not {width!r} by {height!r}")
     if not 0.0 <= diag_prob <= 1.0:
         raise PreconditionError("diagonal probability must lie in [0, 1]")
     rng = random.Random(seed)

@@ -103,6 +103,25 @@ def test_negative_level_rejected_by_every_entry_point(five_path, call):
         call(five_path)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: neighborhood_filtration(x, [(0,)], True),
+        lambda x: neighborhood_filtration(x, [(0,)], 1.5),
+        lambda x: neighborhood(x, [(0,)], 1.0),
+        lambda x: local_profile(x, (0,), True),
+        lambda x: filtration_persistence(x, (0,), True, 1),
+        lambda x: filtration_persistence(x, (0,), 1, 0.5),
+    ],
+    ids=["filtration_bool", "filtration_half", "neighborhood_float", "profile_bool", "persistence_k_bool", "persistence_m_half"],
+)
+def test_level_or_degree_that_is_not_an_int_refused(call):
+    # True once built two levels and 1.5 raised a bare TypeError from range.
+    x = SimplicialComplex.from_maximal([[0, 1, 2], [2, 3]])
+    with pytest.raises(ValueError, match="must be non-negative"):
+        call(x)
+
+
 # -- profiles ----------------------------------------------------------------
 
 
@@ -227,6 +246,15 @@ def test_circle_is_homology_1_manifold():
     circle = SimplicialComplex.from_maximal([[0, 1], [1, 2], [0, 2]])
     ok, offenders = is_homology_n_manifold(circle, 1)
     assert ok and offenders == []
+
+
+@pytest.mark.parametrize("n", [1.5, True, "1"], ids=["half", "bool", "str"])
+def test_manifold_dimension_that_is_not_an_int_refused(n):
+    # 1.5 once classified a triangle corner as manifold-interior(1.5), and True read as 1.
+    x = SimplicialComplex.from_maximal([[0, 1, 2], [2, 3]])
+    for check in (lambda: classify(x, (0,), n), lambda: is_homology_n_manifold(x, n)):
+        with pytest.raises(ValueError, match="manifold dimension"):
+            check()
 
 
 def test_annulus_fails_manifold_check_at_boundary():

@@ -341,6 +341,14 @@ def test_induced_map_requires_nesting(circle):
         induced_map_rank(circle, u, v, 1)
 
 
+@pytest.mark.parametrize("k", [0.5, True, "1"], ids=["half", "bool", "str"])
+def test_induced_map_degree_that_is_not_an_int_refused(circle, k):
+    u = circle.star([(0,)])
+    for call in (induced_map_rank, induced_map_matrix):
+        with pytest.raises(ValueError, match="homology dimension"):
+            call(circle, u, u, k)
+
+
 def test_induced_map_rank_bounds():
     rng = random.Random(19)
     for _ in range(15):

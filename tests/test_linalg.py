@@ -67,6 +67,26 @@ def test_index_that_is_not_an_int_rejected(index):
         solve_in_image(identity_matrix(2), {index: 1})
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ExactMatrix(2, 2.5, {(0, 2): 1}),
+        lambda: ExactMatrix(1.5, 2, {(1, 0): 1}),
+        lambda: ExactMatrix.zeros(2.0, 2),
+        lambda: ExactMatrix.from_columns([{0: 1}], True),
+        lambda: ExactMatrix("2", 2),
+        lambda: ExactMatrix(2, 2, {5: 1}),
+        lambda: ExactMatrix(2, 2, {(0, 1, 1): 1}),
+    ],
+    ids=["float_cols", "float_rows", "float_zeros", "bool_rows", "str_rows", "int_key", "triple_key"],
+)
+def test_shape_and_key_that_are_not_ints_rejected(build):
+    # A dimension is an int at least 0 and a key a (row, col) pair; a float
+    # dimension once gave shape (2, 2.5) and stored a column at 2.
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_rank_zero_matrix():
     for shape in [(0, 0), (3, 5), (4, 1)]:
         assert rank(ExactMatrix.zeros(*shape)) == 0

@@ -127,6 +127,24 @@ def test_planar_grid_shape():
     assert g.is_connected()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: erdos_renyi_graph(5, True, 1),
+        lambda: erdos_renyi_graph(5.0, 3, 1),
+        lambda: barabasi_albert_graph(5, True, 1),
+        lambda: barabasi_albert_graph(5.0, 2, 1),
+        lambda: planar_grid_graph(3.0, 3, 0.5, 1),
+        lambda: planar_grid_graph(3, True, 0.5, 1),
+    ],
+    ids=["er_edges_bool", "er_n_float", "ba_attach_bool", "ba_n_float", "grid_float", "grid_bool"],
+)
+def test_generator_count_that_is_not_an_int_refused(call):
+    # A bool count once read as 1 and a float one raised a bare TypeError from range.
+    with pytest.raises(PreconditionError, match="must be .*ints"):
+        call()
+
+
 # -- correlation tables ----------------------------------------------------------
 
 
@@ -136,7 +154,9 @@ def test_table_requires_connected_graph():
 
 
 @pytest.mark.parametrize(
-    "bounds", [{"k_max": 0}, {"k_max": -1}, {"m_max": -1}], ids=["k0", "k-1", "m-1"]
+    "bounds",
+    [{"k_max": 0}, {"k_max": -1}, {"m_max": -1}, {"k_max": True}, {"k_max": 1.5}, {"m_max": True}],
+    ids=["k0", "k-1", "m-1", "k-bool", "k-half", "m-bool"],
 )
 def test_table_refuses_bad_degree_or_level_before_any_work(bounds, monkeypatch):
     # Refused before the connectivity check and before the flag complex is built.
