@@ -257,34 +257,24 @@ class SimplicialComplex:
     def closure(self, subset) -> "SimplexSet":
         """Smallest closed set containing the subset (a subcomplex).
 
-        Two exact routes, chosen by the size of the input A against |X|:
-
-        - A is more than half of X: a face g outside A lies in cl A exactly
-          when its star meets A, so only the faces outside A are tested.
-        - Otherwise: the OR of the members' closure masks, taken highest id
-          first; a member already inside the closure so far is skipped.
-
-        When cl A is A, A itself is returned and recorded closed. A subset
-        known to be closed is returned at once, and one whose closure was
-        computed before gets that same closure back.
+        The OR of the members' closure masks, taken highest id first; a
+        member already inside the closure so far is skipped. When cl A is A,
+        A itself is returned and recorded closed. A subset known to be closed
+        is returned at once, and one whose closure was computed before gets
+        that same closure back.
         """
         a = self._coerce(subset)
         if a._closed:
             return a
         if a._closure is not None:
             return a._closure
-        mask = a.mask
         index = self._face_index()
-        if 2 * len(a) > len(index.faces):
-            added = [g for g in _ascending(index.full & ~mask) if index.star_mask(g) & mask]
-            out = mask | _mask_of(added, len(index.faces))
-        else:
-            out = 0
-            rest = mask
-            while rest:
-                down = index.down_mask(rest.bit_length() - 1)
-                out |= down
-                rest &= ~down
+        mask = rest = a.mask
+        out = 0
+        while rest:
+            down = index.down_mask(rest.bit_length() - 1)
+            out |= down
+            rest &= ~down
         if out == mask:
             a._closed = True
             return a

@@ -263,28 +263,28 @@ def test_closure_idempotent_and_contains(triangle):
 
 
 def test_closure_and_frontier_match_naive_subset_enumeration():
-    # Arbitrary subsets, not only closed ones, on both sides of the switch
-    # between the two closure routes at 2|A| = |X|.
+    # Arbitrary subsets, not only closed ones, both dense (2|A| > |X|) and
+    # sparse; the one closure loop answers both.
     rng = random.Random(31)
-    routes = {"large": 0, "small": 0}
+    counts = {"dense": 0, "sparse": 0}
     for _ in range(300):
         x = random_complex(rng, n_vertices=rng.randint(1, 9), n_maximal=rng.randint(1, 7), max_size=6)
         faces = sorted(x.all_faces())
         density = rng.random()
         chosen = [f for f in faces if rng.random() < density]
-        routes["large" if 2 * len(chosen) > len(faces) else "small"] += 1
+        counts["dense" if 2 * len(chosen) > len(faces) else "sparse"] += 1
         for subset in (chosen, [], faces):
             rest = set(faces) - set(subset)
             assert x.closure(subset).members == naive_closure(subset)
             assert x.frontier(subset).members == naive_closure(subset) & naive_closure(rest)
-    assert min(routes.values()) >= 50
+    assert min(counts.values()) >= 50
 
 
 def test_star_and_is_open_match_naive_coface_scan():
     # Arbitrary subsets (most of them not open), the empty set and the full
-    # set; closed sets over half of X take closure's large route.
+    # set; closed sets over half of X are dense inputs to closure.
     rng = random.Random(37)
-    counts = {"not open": 0, "large closed": 0}
+    counts = {"not open": 0, "dense closed": 0}
     for _ in range(300):
         x = random_complex(rng, n_vertices=rng.randint(1, 9), n_maximal=rng.randint(1, 7), max_size=6)
         faces = sorted(x.all_faces())
@@ -299,7 +299,7 @@ def test_star_and_is_open_match_naive_coface_scan():
         if 2 * len(closed) > len(faces):
             # Nothing to add, so the input comes back as it is, not copied.
             assert x.closure(closed).members is closed.members
-            counts["large closed"] += 1
+            counts["dense closed"] += 1
     assert min(counts.values()) >= 50
 
 
@@ -495,9 +495,10 @@ def test_simplex_set_constructor_rejects_non_faces():
 
 def test_mask_operators_match_naive_oracles():
     # Every operator against the oracles, on sets built from members and on
-    # the same sets built by operators from masks; closure on both routes.
+    # the same sets built by operators from masks; closure on dense
+    # (2|A| > |X|) and sparse inputs.
     rng = random.Random(47)
-    counts = {"not closed": 0, "large": 0, "small": 0}
+    counts = {"not closed": 0, "dense": 0, "sparse": 0}
     complexes = [SimplicialComplex.from_maximal([])]
     complexes += [
         random_complex(rng, n_vertices=rng.randint(1, 9), n_maximal=rng.randint(1, 7), max_size=6)
@@ -522,7 +523,7 @@ def test_mask_operators_match_naive_oracles():
             star, closure = naive_star(x, a), naive_closure(a)
             rest = everything - a
             counts["not closed"] += closure != a
-            counts["large" if 2 * len(a) > len(faces) else "small"] += 1
+            counts["dense" if 2 * len(a) > len(faces) else "sparse"] += 1
             for subset in (by_members, by_mask):
                 assert x.star(subset).members == star
                 assert x.closure(subset).members == closure
