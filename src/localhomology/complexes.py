@@ -133,8 +133,8 @@ class SimplicialComplex:
 
     def faces(self, k: int) -> tuple[Simplex, ...]:
         """All k-dimensional faces, each once, in lexicographic order."""
-        if k < 0:
-            raise ValueError("dimension must be non-negative")
+        if type(k) is not int or k < 0:  # type(True) is bool
+            raise ValueError(f"dimension must be non-negative and an int, not {k!r}")
         if k > self.dim:
             return ()
         index = self._face_index()
@@ -474,7 +474,9 @@ class SimplexSet:
         return self._mask.bit_count()
 
     def __contains__(self, simplex) -> bool:
-        return simplex in self.members
+        # A non-face, an unhashable input included, is in no set.
+        complex = self.complex
+        return complex._is_face(simplex) and bool(self._mask >> complex._face_index().ids[simplex] & 1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplexSet):

@@ -59,7 +59,11 @@ class ExactMatrix:
 
     def __init__(self, rows: int, cols: int, entries: Mapping[tuple, object] | None = None):
         grouped: dict[int, dict[int, object]] = {}
-        for key, value in (entries or {}).items():
+        try:
+            items = (entries or {}).items()
+        except AttributeError as exc:
+            raise ValueError(f"entries {entries!r} are not a {{(row, col): value}} mapping") from exc
+        for key, value in items:
             if not isinstance(key, tuple) or len(key) != 2:
                 raise ValueError(f"entry key {key!r} is not a (row, col) pair")
             i, j = key
@@ -137,14 +141,23 @@ def _vector(vector: Mapping[int, object], size: int | None = None) -> tuple[dict
     to the vector they take: an index must be an `int` (not a bool) in
     range(size), or non-negative without a size (keys below zero are tags);
     zeros are dropped, `int` values stay `int`, others become `Fraction`.
+    A vector that is not a mapping, or a value `Fraction` refuses, raises
+    `ValueError`.
     """
     out = {}
     integral = True
-    for i, value in vector.items():
+    try:
+        items = vector.items()
+    except AttributeError as exc:
+        raise ValueError(f"vector {vector!r} is not an {{index: value}} mapping") from exc
+    for i, value in items:
         if type(i) is not int or i < 0 or (size is not None and i >= size):
             raise ValueError(f"vector index {i!r} is not an int in range")
         if type(value) is not int:
-            value = Fraction(value)
+            try:
+                value = Fraction(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"vector value {value!r} is not a rational number") from exc
             if value:
                 integral = False
         if value:

@@ -13,6 +13,7 @@ coerced to zero.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from importlib import resources
@@ -209,10 +210,16 @@ def karate_graph() -> Graph:
     return parse_edge_list(karate_edge_list())
 
 
+def _check_seed(seed: int) -> None:
+    if type(seed) is not int:  # type(True) is bool
+        raise PreconditionError(f"seed must be an int, not {seed!r}")
+
+
 def erdos_renyi_graph(n: int, edges: int, seed: int) -> Graph:
     """Connected uniform random graph with exactly the requested number of edges."""
     if type(n) is not int or type(edges) is not int or n < 0 or edges < 0:
         raise PreconditionError(f"vertex and edge counts must be non-negative ints, not {n!r} and {edges!r}")
+    _check_seed(seed)
     possible = n * (n - 1) // 2
     if edges > possible:
         raise PreconditionError(f"cannot place {edges} edges on {n} vertices")
@@ -245,6 +252,7 @@ def barabasi_albert_graph(n: int, attach: int, seed: int) -> Graph:
     """Preferential attachment: each arriving vertex brings `attach` edges."""
     if type(n) is not int or type(attach) is not int or not 1 <= attach < n:
         raise PreconditionError(f"counts must be ints with 1 <= attach < n, not attach={attach!r}, n={n!r}")
+    _check_seed(seed)
     rng = random.Random(seed)
     edges: list[tuple[int, int]] = []
     targets = list(range(attach))
@@ -268,8 +276,9 @@ def planar_grid_graph(width: int, height: int, diag_prob: float, seed: int) -> G
     """
     if type(width) is not int or type(height) is not int or width < 2 or height < 2:
         raise PreconditionError(f"grid sides must be ints of at least 2, not {width!r} by {height!r}")
-    if not 0.0 <= diag_prob <= 1.0:
-        raise PreconditionError("diagonal probability must lie in [0, 1]")
+    if not isinstance(diag_prob, numbers.Real) or isinstance(diag_prob, bool) or not 0 <= diag_prob <= 1:
+        raise PreconditionError(f"diagonal probability must be a real number in [0, 1], not {diag_prob!r}")
+    _check_seed(seed)
     rng = random.Random(seed)
 
     def vid(i: int, j: int) -> int:

@@ -201,6 +201,13 @@ def test_face_enumeration_matches_every_subset_of_every_maximal_simplex():
             x.faces(-1)
 
 
+@pytest.mark.parametrize("k", [1.5, "1", True, 1.0, None], ids=["half", "str", "bool", "float_one", "none"])
+def test_face_dimension_that_is_not_an_int_refused(k, triangle):
+    # True was read as 1, and 1.5 or "1" raised a bare TypeError.
+    with pytest.raises(ValueError, match="must be non-negative and an int"):
+        triangle.faces(k)
+
+
 def test_downward_closure_property():
     rng = random.Random(5)
     for _ in range(20):
@@ -323,6 +330,23 @@ def test_membership_matches_naive_scan():
         queries += [(), [0], 0, "0", None, frozenset({0}), (0, 0)]
         for q in queries:
             assert (q in x) == naive_contains(x, q), q
+
+
+def test_simplex_set_membership_reads_the_mask():
+    # A list or an unhashable tuple once raised TypeError from the members
+    # frozenset; every query now gets the members' answer or False.
+    rng = random.Random(61)
+    for _ in range(50):
+        x = random_complex(rng, n_vertices=rng.randint(1, 7), n_maximal=rng.randint(1, 5), max_size=4)
+        faces = sorted(x.all_faces())
+        subset = x.simplex_set(f for f in faces if rng.random() < 0.5)
+        for a in (subset, x.star(subset), x.closure(subset)):
+            for q in faces + [(0, 0), (11,), (1, 0)]:
+                assert (q in a) == (q in a.members), q
+            for q in ([0], [1], ([0],), (0, [1]), {0}, None, "0", 0, ()):
+                assert q not in a, q
+    x = SimplicialComplex.from_maximal([[0, 1, 2], [2, 3]])
+    assert [1] not in x.star([(2,)]) and [1] not in x
 
 
 def test_unhashable_vertex_is_unknown():

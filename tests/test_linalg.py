@@ -87,6 +87,28 @@ def test_shape_and_key_that_are_not_ints_rejected(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ExactMatrix(2, 2, [((0, 0), 1)]),
+        lambda: ExactMatrix.from_columns([[1]], 2),
+        lambda: solve_in_image(identity_matrix(2), [1]),
+        lambda: IncrementalRank().add([1]),
+        lambda: ExactMatrix(2, 2, {(0, 0): None}),
+        lambda: ExactMatrix(2, 2, {(0, 0): float("inf")}),
+        lambda: ExactMatrix.from_columns([{0: None}], 2),
+        lambda: solve_in_image(identity_matrix(2), {0: float("inf")}),
+        lambda: IncrementalRank().add({0: None}),
+    ],
+    ids=["entries_list", "column_list", "target_list", "add_list", "entry_none", "entry_inf", "column_none", "target_inf", "add_none"],
+)
+def test_input_that_is_not_a_mapping_of_rationals_rejected(call):
+    # A list once raised a bare AttributeError from .items(), None a
+    # TypeError and inf an OverflowError from Fraction.
+    with pytest.raises(ValueError, match="not an? "):
+        call()
+
+
 def test_rank_zero_matrix():
     for shape in [(0, 0), (3, 5), (4, 1)]:
         assert rank(ExactMatrix.zeros(*shape)) == 0

@@ -145,6 +145,27 @@ def test_generator_count_that_is_not_an_int_refused(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: erdos_renyi_graph(5, 4, "x"),
+        lambda: erdos_renyi_graph(5, 4, 1.5),
+        lambda: erdos_renyi_graph(5, 4, True),
+        lambda: barabasi_albert_graph(5, 2, None),
+        lambda: barabasi_albert_graph(5, 2, 1.5),
+        lambda: planar_grid_graph(3, 3, 0.5, "1"),
+        lambda: planar_grid_graph(3, 3, "0.5", 1),
+        lambda: planar_grid_graph(3, 3, True, 1),
+    ],
+    ids=["er_seed_str", "er_seed_float", "er_seed_bool", "ba_seed_none", "ba_seed_float", "grid_seed_str", "grid_prob_str", "grid_prob_bool"],
+)
+def test_generator_seed_or_probability_of_the_wrong_type_refused(call):
+    # A str seed or probability once raised a bare TypeError, and a float,
+    # bool or None seed built a graph.
+    with pytest.raises(PreconditionError, match="must be an? "):
+        call()
+
+
 # -- correlation tables ----------------------------------------------------------
 
 
