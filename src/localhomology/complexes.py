@@ -21,7 +21,8 @@ Bauer, JACT 2021).
 from __future__ import annotations
 
 import json
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations, count
+from operator import add
 from typing import Hashable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -389,14 +390,28 @@ def _mask_of(ids: Iterable[int], size: int) -> int:
     return int.from_bytes(bitmap, "little")
 
 
-def _ascending(mask: int) -> Iterator[int]:
-    """Positions of the set bits of a mask, lowest first."""
+def _ascending(mask: int) -> Iterable[int]:
+    """Positions of the set bits of a mask, lowest first.
+
+    The decode follows the mask's density. A mask with at least one set bit
+    in 64 is decoded in C: its binary digits, lowest first and without the
+    top bit, split at each 1 into the zero run before each set bit, and the
+    running sums of the run lengths, plus one per earlier bit, are the
+    positions. A sparser mask is walked set bit by set bit with `rfind`
+    into a list, because copying and splitting a wide sparse mask's digits
+    costs more than finding its few bits. The empty mask takes the walk:
+    the split of its digits would report a bit 0.
+    """
     digits = bin(mask)
     top = len(digits) - 1
+    if mask.bit_count() << 6 > top:
+        return map(add, accumulate(map(len, digits[:2:-1].split("1"))), count())
+    out = []
     j = digits.rfind("1", 2)
     while j > 0:
-        yield top - j
+        out.append(top - j)
         j = digits.rfind("1", 2, j)
+    return out
 
 
 def _index_by_vertex(simplices: Iterable[Simplex]) -> dict[int, list[frozenset[int]]]:

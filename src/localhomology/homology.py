@@ -49,26 +49,34 @@ def _chain_complex(basis: SimplexSet) -> ChainComplexRep:
     """Chain complex on the given basis faces of a relative pair, in one pass.
 
     Face ids ascend by dimension, then lexicographically, so the basis mask
-    read lowest id first lists each dimension's basis in order and every
-    facet before the faces that have it. Facet j of a face, read by id from
-    the face index, enters its column with sign (-1)^j when it is a basis
-    face; the other facets lie in the excluded subcomplex.
+    read lowest id first (by `_ascending`, which picks its decode from the
+    mask's density) lists each dimension's basis in order and every facet
+    before the faces that have it. Facet j of a face, read by id from the
+    face index, enters its column with sign (-1)^j when it is a basis face;
+    the other facets lie in the excluded subcomplex. The sign alternates
+    along each face's facets and restarts at +1 for the next face.
     """
     index = basis.complex._face_index()
+    faces, facets = index.faces, index.facets
     levels: list[list[Simplex]] = [[] for _ in range(basis.complex.dim + 1)]
     columns: list[dict[int, dict[int, int]]] = [{} for _ in levels]
     position: dict[int, int] = {}  # basis face id -> its place in its dimension
+    get = position.get
     for face_id in _ascending(basis.mask):
-        s = index.faces[face_id]
-        level = levels[len(s) - 1]
+        s = faces[face_id]
+        k = len(s) - 1
+        level = levels[k]
+        place = len(level)
         column = {}
-        for j, facet in enumerate(index.facets[face_id]):
-            row = position.get(facet)
+        sign = 1
+        for facet in facets[face_id]:
+            row = get(facet)
             if row is not None:
-                column[row] = -1 if j % 2 else 1
+                column[row] = sign
+            sign = -sign
         if column:  # stored as built; empty columns are left out
-            columns[len(s) - 1][len(level)] = column
-        position[face_id] = len(level)
+            columns[k][place] = column
+        position[face_id] = place
         level.append(s)
     sizes = [len(level) for level in levels]  # boundary k maps size k to size k - 1
     boundaries = tuple(map(ExactMatrix._stored, [0] + sizes, sizes, columns, repeat(True)))

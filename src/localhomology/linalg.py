@@ -73,7 +73,11 @@ class ExactMatrix:
     @classmethod
     def from_columns(cls, columns: Sequence[Mapping[int, object]], rows: int) -> "ExactMatrix":
         """The matrix whose j-th column is the {row: value} vector columns[j]."""
-        return cls._stored(rows, len(columns), *_columns(rows, len(columns), enumerate(columns)))
+        try:
+            cols = len(columns)
+        except TypeError as exc:
+            raise ValueError(f"columns {columns!r} are not a sequence of {{row: value}} mappings") from exc
+        return cls._stored(rows, cols, *_columns(rows, cols, enumerate(columns)))
 
     @classmethod
     def _stored(cls, rows: int, cols: int, columns: dict[int, dict[int, Fraction | int]], integral: bool) -> "ExactMatrix":
@@ -141,8 +145,9 @@ def _vector(vector: Mapping[int, object], size: int | None = None) -> tuple[dict
     to the vector they take: an index must be an `int` (not a bool) in
     range(size), or non-negative without a size (keys below zero are tags);
     zeros are dropped, `int` values stay `int`, others become `Fraction`.
-    A vector that is not a mapping, or a value `Fraction` refuses, raises
-    `ValueError`.
+    A vector that is not a mapping, a `str` or `bool` value (which
+    `Fraction` would parse or take as 0 and 1), or a value `Fraction`
+    refuses, raises `ValueError`.
     """
     out = {}
     integral = True
@@ -154,6 +159,8 @@ def _vector(vector: Mapping[int, object], size: int | None = None) -> tuple[dict
         if type(i) is not int or i < 0 or (size is not None and i >= size):
             raise ValueError(f"vector index {i!r} is not an int in range")
         if type(value) is not int:
+            if isinstance(value, (str, bool)):
+                raise ValueError(f"vector value {value!r} is not a number")
             try:
                 value = Fraction(value)
             except (TypeError, ValueError, OverflowError) as exc:

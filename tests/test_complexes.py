@@ -28,6 +28,8 @@ from util import (
     random_complex,
 )
 
+from localhomology.complexes import _ascending
+
 
 @pytest.fixture
 def triangle():
@@ -515,6 +517,38 @@ def test_simplex_set_constructor_rejects_non_faces():
             with pytest.raises(UnknownSimplexError, match="is not a face of the complex"):
                 SimplexSet(x, [member])
         assert SimplexSet(x, [(0, 1), (2,)]) == x.simplex_set([(2,), (0, 1)])
+
+
+def test_ascending_decodes_masks_on_both_routes():
+    # Against a bit scan. A mask with at least one set bit in 64 (64 * set
+    # bits >= bit length + 2) is decoded from its zero runs, a sparser one
+    # is walked into a list; the edges of that rule are checked both ways.
+    def scan(mask):
+        return [i for i, digit in enumerate(reversed(format(mask, "b"))) if digit == "1"]
+
+    def sparse(mask):
+        return mask.bit_count() << 6 < mask.bit_length() + 2
+
+    rng = random.Random(61)
+    masks = [0, 1, 1 << 40_000, (1 << 900) - 1, (1 << 36_000) | 1 << 17_000 | 1]
+    for bits in (1, 2, 5, 47):
+        # `bits` set bits, the top one included, at bit lengths 64 * bits - 2
+        # (the widest dense mask) and 64 * bits - 1 (the narrowest sparse one).
+        for length in (64 * bits - 2, 64 * bits - 1):
+            low = rng.sample(range(length - 1), bits - 1)
+            masks.append(sum(1 << i for i in low) | 1 << (length - 1))
+    for _ in range(200):
+        length = rng.choice([1, 2, 63, 64, 65, 130, 1_000, 36_000])
+        density = rng.choice([0.001, 0.01, 1 / 64, 0.05, 0.5, 1.0])
+        masks.append(sum(1 << i for i in range(length) if rng.random() < density))
+    routes = {True: 0, False: 0}
+    for mask in masks:
+        decoded = _ascending(mask)
+        assert isinstance(decoded, list) == sparse(mask)
+        routes[sparse(mask)] += 1
+        assert list(decoded) == scan(mask)
+    assert sparse(0) and sparse(1 << 40_000) and not sparse(1) and not sparse((1 << 900) - 1)
+    assert min(routes.values()) > 50
 
 
 def test_mask_operators_match_naive_oracles():

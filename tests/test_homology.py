@@ -12,6 +12,8 @@ from localhomology import (
     SimplicialComplex,
     UnknownSimplexError,
     betti,
+    erdos_renyi_graph,
+    flag_complex,
     global_betti,
     homology_basis,
     induced_map_matrix,
@@ -19,10 +21,12 @@ from localhomology import (
     local_betti,
     local_betti_at,
     local_betti_direct,
+    neighborhood_filtration,
     rank,
     reduced_betti,
     relative_chain_complex,
 )
+from localhomology.complexes import _ascending
 from localhomology.homology import _excised_chain_complex
 
 from util import (
@@ -113,6 +117,21 @@ def test_chain_complexes_equal_the_definition():
             rep = _excised_chain_complex(x, u)
             assert rep == oracle_chain_complex(x, u.members)
             assert_stored_signs(rep)
+    # Bases shaped like the benchmark's: neighborhoods to level 2 of a few
+    # vertices of an ER(120,600) flag complex, dense in its face ids, and
+    # the tiny stars of single faces, sparse in them.
+    x = flag_complex(erdos_renyi_graph(120, 600, 5))
+    faces = sorted(x.all_faces())
+    open_sets = [x.star([f]) for f in rng.sample(faces, 12)]
+    for v in rng.sample(range(x.n_vertices), 4):
+        open_sets += neighborhood_filtration(x, [(v,)], 2).levels
+    assert x.dim == 3  # faces of 2, 3 and 4 vertices, so odd and even facet counts
+    routes = {isinstance(_ascending(u.mask), list) for u in open_sets}
+    assert routes == {True, False}  # both decodes of the basis mask
+    for u in open_sets:
+        rep = _excised_chain_complex(x, u)
+        assert rep == oracle_chain_complex(x, u.members)
+        assert_stored_signs(rep)
 
 
 def assert_stored_signs(rep):

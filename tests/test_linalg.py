@@ -99,14 +99,38 @@ def test_shape_and_key_that_are_not_ints_rejected(build):
         lambda: ExactMatrix.from_columns([{0: None}], 2),
         lambda: solve_in_image(identity_matrix(2), {0: float("inf")}),
         lambda: IncrementalRank().add({0: None}),
+        lambda: ExactMatrix.from_columns(5, 2),
+        lambda: ExactMatrix.from_columns(None, 2),
     ],
-    ids=["entries_list", "column_list", "target_list", "add_list", "entry_none", "entry_inf", "column_none", "target_inf", "add_none"],
+    ids=[
+        "entries_list", "column_list", "target_list", "add_list", "entry_none", "entry_inf",
+        "column_none", "target_inf", "add_none", "columns_int", "columns_none",
+    ],
 )
 def test_input_that_is_not_a_mapping_of_rationals_rejected(call):
     # A list once raised a bare AttributeError from .items(), None a
-    # TypeError and inf an OverflowError from Fraction.
+    # TypeError and inf an OverflowError from Fraction; columns without a
+    # length a bare TypeError from len.
     with pytest.raises(ValueError, match="not an? "):
         call()
+
+
+@pytest.mark.parametrize("value", ["1/2", "3", "", True, False], ids=["str_half", "str_int", "str_empty", "true", "false"])
+def test_value_that_is_a_str_or_bool_rejected(value):
+    # Fraction parses a str and takes a bool as 0 or 1: "1/2" was once
+    # stored as Fraction(1, 2) and True as Fraction(1, 1).
+    builds = [
+        lambda: ExactMatrix(2, 2, {(0, 0): value}),
+        lambda: ExactMatrix.from_columns([{0: value}], 2),
+        lambda: solve_in_image(identity_matrix(2), {0: value}),
+    ]
+    for build in builds:
+        with pytest.raises(ValueError, match="is not a number"):
+            build()
+    inc = IncrementalRank()
+    with pytest.raises(ValueError, match="is not a number"):
+        inc.add({0: value})
+    assert inc.rank == 0
 
 
 def test_rank_zero_matrix():
