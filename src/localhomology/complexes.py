@@ -393,25 +393,24 @@ def _mask_of(ids: Iterable[int], size: int) -> int:
 def _ascending(mask: int) -> Iterable[int]:
     """Positions of the set bits of a mask, lowest first.
 
-    The decode follows the mask's density. A mask with at least one set bit
-    in 64 is decoded in C: its binary digits, lowest first and without the
-    top bit, split at each 1 into the zero run before each set bit, and the
-    running sums of the run lengths, plus one per earlier bit, are the
-    positions. A sparser mask is walked set bit by set bit with `rfind`
-    into a list, because copying and splitting a wide sparse mask's digits
-    costs more than finding its few bits. The empty mask takes the walk:
-    the split of its digits would report a bit 0.
+    The decode follows the number of set bits, at any width. A mask with
+    fewer than 16, such as the star of one face, has its lowest set bit
+    split off one at a time (`mask & -mask`): a few int operations per set
+    bit, and no string of the mask's width. A mask with more, such as a
+    level-1 or level-2 neighborhood, is decoded in C: its binary digits
+    split at each 1 into the zero run below each set bit, and read lowest
+    first, the running sums of the run lengths, plus one per earlier bit,
+    are the positions. Near 16 set bits the two cost about the same from
+    64 to 36,000 bits; far from it the other decode is several times slower.
     """
-    digits = bin(mask)
-    top = len(digits) - 1
-    if mask.bit_count() << 6 > top:
-        return map(add, accumulate(map(len, digits[:2:-1].split("1"))), count())
-    out = []
-    j = digits.rfind("1", 2)
-    while j > 0:
-        out.append(top - j)
-        j = digits.rfind("1", 2, j)
-    return out
+    if mask.bit_count() < 16:
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
+    return map(add, accumulate(map(len, bin(mask).split("1")[:0:-1])), count())
 
 
 def _index_by_vertex(simplices: Iterable[Simplex]) -> dict[int, list[frozenset[int]]]:

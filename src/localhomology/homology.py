@@ -50,11 +50,11 @@ def _chain_complex(basis: SimplexSet) -> ChainComplexRep:
 
     Face ids ascend by dimension, then lexicographically, so the basis mask
     read lowest id first (by `_ascending`, which picks its decode from the
-    mask's density) lists each dimension's basis in order and every facet
-    before the faces that have it. Facet j of a face, read by id from the
-    face index, enters its column with sign (-1)^j when it is a basis face;
-    the other facets lie in the excluded subcomplex. The sign alternates
-    along each face's facets and restarts at +1 for the next face.
+    mask's number of set bits) lists each dimension's basis in order and
+    every facet before the faces that have it. Facet j of a face, read by id
+    from the face index, enters its column with sign (-1)^j when it is a
+    basis face; the other facets lie in the excluded subcomplex. The sign
+    alternates along each face's facets and restarts at +1 for the next face.
     """
     index = basis.complex._face_index()
     faces, facets = index.faces, index.facets

@@ -520,21 +520,19 @@ def test_simplex_set_constructor_rejects_non_faces():
 
 
 def test_ascending_decodes_masks_on_both_routes():
-    # Against a bit scan. A mask with at least one set bit in 64 (64 * set
-    # bits >= bit length + 2) is decoded from its zero runs, a sparser one
-    # is walked into a list; the edges of that rule are checked both ways.
+    # Against a bit scan. A mask with fewer than 16 set bits has its lowest
+    # set bit split off one at a time, one with more is decoded from its zero
+    # runs; masks with 15 and 16 set bits, narrow and wide, check the edge.
     def scan(mask):
         return [i for i, digit in enumerate(reversed(format(mask, "b"))) if digit == "1"]
 
-    def sparse(mask):
-        return mask.bit_count() << 6 < mask.bit_length() + 2
+    def few(mask):
+        return mask.bit_count() < 16
 
     rng = random.Random(61)
     masks = [0, 1, 1 << 40_000, (1 << 900) - 1, (1 << 36_000) | 1 << 17_000 | 1]
-    for bits in (1, 2, 5, 47):
-        # `bits` set bits, the top one included, at bit lengths 64 * bits - 2
-        # (the widest dense mask) and 64 * bits - 1 (the narrowest sparse one).
-        for length in (64 * bits - 2, 64 * bits - 1):
+    for bits in (15, 16):
+        for length in (bits, bits + 1, 64, 1_000, 36_000):
             low = rng.sample(range(length - 1), bits - 1)
             masks.append(sum(1 << i for i in low) | 1 << (length - 1))
     for _ in range(200):
@@ -543,11 +541,9 @@ def test_ascending_decodes_masks_on_both_routes():
         masks.append(sum(1 << i for i in range(length) if rng.random() < density))
     routes = {True: 0, False: 0}
     for mask in masks:
-        decoded = _ascending(mask)
-        assert isinstance(decoded, list) == sparse(mask)
-        routes[sparse(mask)] += 1
-        assert list(decoded) == scan(mask)
-    assert sparse(0) and sparse(1 << 40_000) and not sparse(1) and not sparse((1 << 900) - 1)
+        routes[few(mask)] += 1
+        assert list(_ascending(mask)) == scan(mask)
+    assert few(0) and few(1 << 40_000) and not few((1 << 900) - 1)
     assert min(routes.values()) > 50
 
 
