@@ -49,8 +49,8 @@ def neighborhood_filtration(complex: SimplicialComplex, seed, m_max: int) -> Nei
 
 def _classify_vector(values: BettiVector, n: int) -> str:
     interior = manifold_interior(n)
-    expected = tuple(1 if k == n else 0 for k in range(len(values)))
-    if values == expected and n < len(values):
+    # Betti numbers are never negative, so a sum of 1 with a 1 at n is e_n.
+    if n < len(values) and values[n] == 1 and sum(values) == 1:
         return interior
     if not any(values):
         return BOUNDARY_LIKE
@@ -82,7 +82,7 @@ class LocalProfile:
 
 def local_profile(complex: SimplicialComplex, simplex: Simplex, m_max: int) -> LocalProfile:
     filtration = neighborhood_filtration(complex, [simplex], m_max)
-    levels = tuple(local_betti(complex, level) for level in filtration.levels)
+    levels = tuple([local_betti(complex, level) for level in filtration.levels])
     return LocalProfile(
         simplex=simplex,
         betti_by_level=levels,

@@ -242,7 +242,7 @@ class SimplicialComplex:
         a = self._coerce(subset)
         if a._open:
             return a
-        mask = rest = a.mask
+        mask = rest = a._mask
         if rest:  # the star of nothing is empty and needs no index
             index = self._face_index()
             out = 0
@@ -270,7 +270,7 @@ class SimplicialComplex:
         if a._closure is not None:
             return a._closure
         index = self._face_index()
-        mask = rest = a.mask
+        mask = rest = a._mask
         out = 0
         while rest:
             down = index.down_mask(rest.bit_length() - 1)
@@ -288,7 +288,7 @@ class SimplicialComplex:
         st = self.star(a)
         cl_st = self.closure(st)
         cl = self.closure(a)
-        return SimplexSet._from_mask(self, cl_st.mask & ~(st.mask | cl.mask))
+        return SimplexSet._from_mask(self, cl_st._mask & ~(st._mask | cl._mask))
 
     def frontier(self, subset) -> "SimplexSet":
         """cl A intersected with cl(X minus A), a closed set.
@@ -299,15 +299,15 @@ class SimplicialComplex:
         a = self._coerce(subset)
         cl = self.closure(a)
         cl_comp = self.closure(a.complement())
-        return SimplexSet._from_mask(self, cl.mask & cl_comp.mask, closed=True)
+        return SimplexSet._from_mask(self, cl._mask & cl_comp._mask, closed=True)
 
     def is_open(self, subset) -> bool:
         a = self._coerce(subset)
-        return self.star(a).mask == a.mask
+        return self.star(a)._mask == a._mask
 
     def is_closed(self, subset) -> bool:
         a = self._coerce(subset)
-        return self.closure(a).mask == a.mask
+        return self.closure(a)._mask == a._mask
 
     def __repr__(self) -> str:
         return (
@@ -349,7 +349,13 @@ class _FaceIndex:
             self.starts.append(len(faces))
         self.faces = tuple(faces)
         ids = self.ids = {s: i for i, s in enumerate(self.faces)}
-        self.facets = tuple(tuple(ids[s[:j] + s[j + 1:]] for j in range(len(s)) if len(s) > 1) for s in self.faces)
+        # combinations(s, k) lists a k-face's facets dropping its last vertex
+        # first, so reversed they drop vertex j at place j.
+        facets: list[tuple[int, ...]] = []
+        for k in range(complex.dim + 1):
+            level = self.faces[self.starts[k]:self.starts[k + 1]]
+            facets += [tuple(map(ids.__getitem__, combinations(s, k)))[::-1] for s in level] if k else [()] * len(level)
+        self.facets = tuple(facets)
         containing: list[list[int]] = [[] for _ in range(complex.n_vertices)]
         for i, s in enumerate(self.faces):
             for v in s:
@@ -509,16 +515,16 @@ class SimplexSet:
 
     def __or__(self, other: "SimplexSet") -> "SimplexSet":
         self._check_host(other)
-        return SimplexSet._from_mask(self.complex, self.mask | other.mask)
+        return SimplexSet._from_mask(self.complex, self._mask | other._mask)
 
     def __and__(self, other: "SimplexSet") -> "SimplexSet":
         self._check_host(other)
-        return SimplexSet._from_mask(self.complex, self.mask & other.mask)
+        return SimplexSet._from_mask(self.complex, self._mask & other._mask)
 
     def complement(self) -> "SimplexSet":
         """X minus the set: closed when the set is known open, and open when it is known closed."""
         full = self.complex._face_index().full
-        return SimplexSet._from_mask(self.complex, full & ~self.mask, open=self._closed, closed=self._open)
+        return SimplexSet._from_mask(self.complex, full & ~self._mask, open=self._closed, closed=self._open)
 
     def vertex_set(self) -> frozenset[int]:
         out: set[int] = set()
@@ -533,7 +539,7 @@ class SimplexSet:
         mask: all faces, not only facets, since the set need not be closed.
         """
         index = self.complex._face_index()
-        mask = self.mask
+        mask = self._mask
         parent = {i: i for i in _ascending(mask)}
 
         def find(a: int) -> int:

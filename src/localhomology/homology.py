@@ -3,11 +3,12 @@
 The relative chain space of a pair (X, Y) with Y a subcomplex has one basis
 element per face of X outside Y; the boundary of a face keeps only those
 facets that also lie outside Y. Each chain complex is built in one pass over
-its basis mask, reading each face's facet ids from the face index. Local
-homology at an open set U is computed by excision as the relative homology
-of (cl U, fr U), whose chain complex has exactly the faces of U as its
-basis. A direct route on all of X relative to the complement of U is kept
-as an oracle; both must produce the same Betti numbers.
+its basis, given as a face mask, reading each face's facet ids from the face
+index. Local homology at an open set U is computed by excision as the
+relative homology of (cl U, fr U), whose chain complex has exactly the faces
+of U as its basis: the mask of cl U with the bits of fr U cleared. A direct
+route on all of X relative to the complement of U is kept as an oracle; both
+must produce the same Betti numbers.
 """
 
 from __future__ import annotations
@@ -45,24 +46,26 @@ class ChainComplexRep:
                 raise AssertionError(f"boundary composition at dimension {k} is nonzero")
 
 
-def _chain_complex(basis: SimplexSet) -> ChainComplexRep:
-    """Chain complex on the given basis faces of a relative pair, in one pass.
+def _chain_complex(complex: SimplicialComplex, mask: int) -> ChainComplexRep:
+    """Chain complex on the basis faces that a mask over the face index marks, in one pass.
 
-    Face ids ascend by dimension, then lexicographically, so the basis mask
-    read lowest id first (by `_ascending`, which picks its decode from the
-    mask's number of set bits) lists each dimension's basis in order and
-    every facet before the faces that have it. Facet j of a face, read by id
-    from the face index, enters its column with sign (-1)^j when it is a
-    basis face; the other facets lie in the excluded subcomplex. The sign
+    Callers hand over the mask they computed (X minus Y, or cl U minus
+    fr U), so no `SimplexSet` is built only to be read. Face ids ascend by
+    dimension, then lexicographically, so the mask read lowest id first (by
+    `_ascending`, which picks its decode from the mask's number of set bits)
+    lists each dimension's basis in order and every facet before the faces
+    that have it. Facet j of a face, read by id from
+    the face index, enters its column with sign (-1)^j when it is a basis
+    face; the other facets lie in the excluded subcomplex. The sign
     alternates along each face's facets and restarts at +1 for the next face.
     """
-    index = basis.complex._face_index()
+    index = complex._face_index()
     faces, facets = index.faces, index.facets
-    levels: list[list[Simplex]] = [[] for _ in range(basis.complex.dim + 1)]
+    levels: list[list[Simplex]] = [[] for _ in range(complex.dim + 1)]
     columns: list[dict[int, dict[int, int]]] = [{} for _ in levels]
     position: dict[int, int] = {}  # basis face id -> its place in its dimension
     get = position.get
-    for face_id in _ascending(basis.mask):
+    for face_id in _ascending(mask):
         s = faces[face_id]
         k = len(s) - 1
         level = levels[k]
@@ -88,18 +91,18 @@ def relative_chain_complex(complex: SimplicialComplex, excluded) -> ChainComplex
     excluded_set = complex._coerce(excluded)
     if not complex.is_closed(excluded_set):
         raise NotClosedError("excluded set must be a subcomplex (closed)")
-    return _chain_complex(excluded_set.complement())
+    return _chain_complex(complex, complex._face_index().full & ~excluded_set._mask)
 
 
 def betti(chain_complex: ChainComplexRep) -> BettiVector:
     """Betti numbers: basis size minus adjacent boundary ranks per dimension."""
-    ranks = [rank(m) for m in chain_complex.boundaries] + [0]
-    return tuple(len(basis) - ranks[k] - ranks[k + 1] for k, basis in enumerate(chain_complex.bases))
+    ranks = list(map(rank, chain_complex.boundaries)) + [0]
+    return tuple([len(basis) - ranks[k] - ranks[k + 1] for k, basis in enumerate(chain_complex.bases)])
 
 
 def _excised_chain_complex(complex: SimplicialComplex, open_set: SimplexSet) -> ChainComplexRep:
-    """Chain complex of (cl U, fr U); its basis is exactly the faces of U."""
-    return _chain_complex(complex.closure(open_set) & complex.frontier(open_set).complement())
+    """Chain complex of (cl U, fr U); its basis cl U minus fr U is exactly the faces of U."""
+    return _chain_complex(complex, complex.closure(open_set)._mask & ~complex.frontier(open_set)._mask)
 
 
 def _require_open(complex: SimplicialComplex, subset) -> SimplexSet:
@@ -187,7 +190,7 @@ def induced_map_matrix(
     """
     u = _require_open(complex, larger)
     v = _require_open(complex, smaller)
-    if v.mask & ~u.mask:
+    if v._mask & ~u._mask:
         raise PreconditionError("smaller open set must be contained in the larger one")
     if type(k) is not int or k < 0:
         raise ValueError(f"homology dimension must be non-negative and an int, not {k!r}")

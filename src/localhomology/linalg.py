@@ -68,7 +68,9 @@ class ExactMatrix:
                 raise ValueError(f"entry key {key!r} is not a (row, col) pair")
             i, j = key
             grouped.setdefault(j, {})[i] = value
-        self._hold(rows, cols, *_columns(rows, cols, grouped.items()))
+        columns, integral = _columns(rows, cols, grouped.items())
+        self.rows, self.cols, self.columns = rows, cols, columns
+        self._integral, self._solve_pivots = integral, None
 
     @classmethod
     def from_columns(cls, columns: Sequence[Mapping[int, object]], rows: int) -> "ExactMatrix":
@@ -83,9 +85,7 @@ class ExactMatrix:
     def _stored(cls, rows: int, cols: int, columns: dict[int, dict[int, Fraction | int]], integral: bool) -> "ExactMatrix":
         """Unchecked: the columns are already in the stored form, as the library
         builds them, and `integral` says whether every stored value is an `int`."""
-        return cls.__new__(cls)._hold(rows, cols, columns, integral)
-
-    def _hold(self, rows: int, cols: int, columns: dict[int, dict[int, Fraction | int]], integral: bool) -> "ExactMatrix":
+        self = object.__new__(cls)
         self.rows, self.cols, self.columns = rows, cols, columns
         self._integral, self._solve_pivots = integral, None
         return self

@@ -22,6 +22,8 @@ from localhomology import (
     profiles_to_csv,
 )
 
+from localhomology.analysis import BOUNDARY_LIKE, RAMIFICATION, _classify_vector, manifold_interior
+
 from util import (
     annulus_complex,
     cone_over,
@@ -255,6 +257,34 @@ def test_manifold_dimension_that_is_not_an_int_refused(n):
     for check in (lambda: classify(x, (0,), n), lambda: is_homology_n_manifold(x, n)):
         with pytest.raises(ValueError, match="manifold dimension"):
             check()
+
+
+def test_classify_vector_branches():
+    # e_n is a manifold interior, all zeros is boundary-like, anything else ramifies.
+    for n in range(4):
+        e_n = tuple(1 if k == n else 0 for k in range(4))
+        assert _classify_vector(e_n, n) == manifold_interior(n)
+        assert _classify_vector(e_n[: n + 1], n) == manifold_interior(n)
+    for values in [(), (0,), (0, 0, 0)]:
+        assert _classify_vector(values, 1) == BOUNDARY_LIKE
+    for values, n in [
+        ((1, 1, 0), 0),  # e_0 plus another nonzero entry
+        ((0, 1, 0, 2), 1),
+        ((0, 0, 2), 2),  # a 2 at n
+        ((0, 2), 1),
+        ((1, 0), 2),  # n at or past the length
+        ((0, 1), 2),
+        ((1,), 1),
+    ]:
+        assert _classify_vector(values, n) == RAMIFICATION
+
+
+@pytest.mark.parametrize("n", [True, -1, 1.0], ids=["bool", "negative", "float_one"])
+def test_classify_vector_refuses_bad_dimension(n):
+    # n is checked before the values are read, so all zeros does not let it through.
+    for values in [(0, 0, 0), (0, 1, 0), ()]:
+        with pytest.raises(ValueError, match="manifold dimension"):
+            _classify_vector(values, n)
 
 
 def test_annulus_fails_manifold_check_at_boundary():

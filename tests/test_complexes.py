@@ -203,6 +203,28 @@ def test_face_enumeration_matches_every_subset_of_every_maximal_simplex():
             x.faces(-1)
 
 
+def test_facet_table_drops_vertex_j_at_place_j():
+    # facets[i][j] is the id of face i with its j-th vertex dropped; a vertex has none.
+    rng = random.Random(59)
+    complexes = [
+        SimplicialComplex.from_maximal([]),
+        SimplicialComplex.from_maximal([[v] for v in range(5)]),
+        SimplicialComplex.from_maximal([range(6)]),
+    ]
+    complexes += [
+        random_complex(rng, n_vertices=rng.randint(1, 9), n_maximal=rng.randint(1, 7), max_size=6)
+        for _ in range(60)
+    ]
+    for x in complexes:
+        index = x._face_index()
+        assert len(index.facets) == len(index.faces)
+        for i, s in enumerate(index.faces):
+            if len(s) == 1:
+                assert index.facets[i] == ()
+            else:
+                assert index.facets[i] == tuple(index.ids[s[:j] + s[j + 1:]] for j in range(len(s)))
+
+
 @pytest.mark.parametrize("k", [1.5, "1", True, 1.0, None], ids=["half", "str", "bool", "float_one", "none"])
 def test_face_dimension_that_is_not_an_int_refused(k, triangle):
     # True was read as 1, and 1.5 or "1" raised a bare TypeError.

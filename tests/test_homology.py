@@ -133,6 +133,23 @@ def test_chain_complexes_equal_the_definition():
         assert_stored_signs(rep)
 
 
+def test_excision_basis_is_exactly_the_open_set():
+    # For an open U, cl U minus fr U is U itself, so the excised pair
+    # (cl U, fr U) has the chain complex of the pair (X, X minus U).
+    rng = random.Random(29)
+    complexes = [SimplicialComplex.from_maximal([]), tetrahedron_boundary(), annulus_complex()[0]]
+    complexes += [random_complex(rng) for _ in range(30)] + [flag_complex(erdos_renyi_graph(40, 160, 3))]
+    for x in complexes:
+        faces = sorted(x.all_faces())
+        open_sets = [x.empty_set(), x.full_set(), random_open_set(rng, x), random_open_set(rng, x, 4)]
+        for f in rng.sample(faces, min(8, len(faces))):
+            open_sets += neighborhood_filtration(x, [f], 2).levels  # the star of f, then levels 1 and 2
+        for u in open_sets:
+            assert x.is_open(u)
+            assert x.closure(u).mask & ~x.frontier(u).mask == u.mask
+            assert _excised_chain_complex(x, u) == relative_chain_complex(x, u.complement())
+
+
 def assert_stored_signs(rep):
     # `==` takes Fraction(1) for 1, so check the stored form itself: only
     # nonempty columns, rows and columns in range, int signs.
