@@ -16,13 +16,18 @@ carries tags that record the column operations applied to it (R = D V); a
 column whose rows all cancel leaves a kernel vector, or a solution, in its
 tags. No tolerance tuning is ever needed.
 
-`rank` alone has a second route. A graph-shaped matrix, each of whose
-columns is x·e_a or x·(e_a - e_b), is the incidence matrix of a graph up to
-column scaling, and its rank is the size of a spanning forest, which a
-union-find scan counts without arithmetic (`_forest_rank`). Every ∂₁ is
-such a matrix, and so is the ∂₂ of a vertex star, whose columns lose the
-edge opposite the vertex. `rank` checks the shape on each call; kernels,
-solves and `IncrementalRank` need pivots, so they always eliminate.
+`rank` and `kernel_basis` each have a second route, chosen from the
+input's shape. A graph-shaped matrix, each of whose columns is x·e_a or
+x·(e_a - e_b), is the incidence matrix of a graph up to column scaling, and
+its rank is the size of a spanning forest, which a union-find scan counts
+without arithmetic (`_forest_rank`). Every ∂₁ is such a matrix, and so is
+the ∂₂ of a vertex star, whose columns lose the edge opposite the vertex.
+When every x is an `int` ±1, as in every ∂₀ and ∂₁, each elimination step
+has a unit pivot, so it only moves a column's top endpoint along a stored
+pivot edge; `_forest_kernel` walks those edges and returns exactly the
+vectors elimination would, the fundamental cycles of the forest. Solves and
+`IncrementalRank` keep a matrix's pivots across calls and meet columns of
+every shape, so they always eliminate.
 
 A matrix is reduced for solving once: the first `solve_in_image` on an
 `ExactMatrix` keeps its tagged pivots on the matrix, and every later solve
@@ -350,13 +355,77 @@ def rank(matrix: ExactMatrix) -> int:
     return len(pivots)
 
 
+def _forest_kernel(matrix: ExactMatrix) -> list[dict[int, int]] | None:
+    """`kernel_basis` of a unit graph-shaped matrix by a forest walk, or None if it is not one.
+
+    Each column must be ±e_a or ±(e_a - e_b) with `int` entries; it is read
+    as c·(e_p - e_q) with p > q, where q = -1, a ground node below every
+    row, stands for ±e_a. Elimination would reduce it against the pivot
+    s·(e_p - e_r) stored at p: that pivot entry is s = ±1, so the step is
+    col - c·s·pivot with no scaling and no gcd, and leaves c·(e_r - e_q).
+    So the walk only moves the top endpoint to r, or, when r < q, swaps the
+    ends and flips c, and subtracts c·s times the pivot's tags. The column
+    stops as a new pivot at a free top row, or leaves a kernel vector when
+    r == q; its own tag stays 1, so that vector is already primitive.
+    """
+    if not matrix._integral:
+        return None
+    columns = matrix.columns
+    pivots: dict[int, tuple[int, int, dict[int, int]]] = {}  # top row -> (other end, sign, tags)
+    basis = []
+    for j in range(matrix.cols):
+        tags = {j: 1}
+        column = columns.get(j)
+        if column is None:
+            basis.append(tags)
+            continue
+        if len(column) == 1:
+            ((p, c),) = column.items()
+            q = -1
+        elif len(column) == 2:
+            (p, c), (q, d) = column.items()
+            if c + d:
+                return None
+            if p < q:
+                p, q, c = q, p, d
+        else:
+            return None
+        if c != 1 and c != -1:
+            return None
+        while (pivot := pivots.get(p)) is not None:
+            r, s, held = pivot
+            b = c * s
+            for k, v in held.items():
+                t = tags.get(k, 0) - b * v
+                if t:
+                    tags[k] = t
+                else:
+                    del tags[k]
+            if r == q:
+                basis.append(tags)
+                break
+            if r > q:
+                p = r
+            else:
+                p, q, c = q, r, -c
+        else:
+            pivots[p] = (q, c, tags)
+    return basis
+
+
 def kernel_basis(matrix: ExactMatrix) -> list[dict[int, int]]:
     """Basis of the right null space, one primitive integer vector per non-pivot column.
 
     Each is a {column: value} vector. That of column j is nonzero at j,
     positive there, and otherwise supported on pivot columns left of j, so
-    the vectors are independent.
+    the vectors are independent. These conditions fix each vector, so both
+    routes return the same ones: a matrix whose columns are all `int`
+    ±e_a or ±(e_a - e_b) (every ∂₀ and ∂₁) takes `_forest_kernel`'s walk,
+    and every other matrix tagged elimination.
     """
+    forest = _forest_kernel(matrix)
+    if forest is not None:
+        return forest
     basis = []
     for tags in _tagged_reduction(matrix)[1]:
         g = gcd(*tags.values())

@@ -36,7 +36,13 @@ from .invariants import (
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> Optional[float]:
-    """Pearson correlation, or None when either argument has zero variance."""
+    """Pearson correlation, or None when either argument has zero variance.
+
+    Zero variance is tested exactly, as every value equal to the others: the
+    centred sums of squares of a constant float column such as [0.1] * 3 are
+    rounding noise, not zero, and would give a coefficient of 0.0. A spread
+    so small that its sum of squares underflows to zero also gives None.
+    """
     if len(x) != len(y):
         raise PreconditionError("vectors must have equal length")
     if len(x) < 2:
@@ -45,6 +51,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> Optional[float]:
 
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
+    if xa.min() == xa.max() or ya.min() == ya.max():
+        return None
     xc = xa - xa.mean()
     yc = ya - ya.mean()
     sx = float(xc @ xc)

@@ -18,6 +18,7 @@ from localhomology import (
     homology_basis,
     induced_map_matrix,
     induced_map_rank,
+    kernel_basis,
     local_betti,
     local_betti_at,
     local_betti_direct,
@@ -26,12 +27,16 @@ from localhomology import (
     reduced_betti,
     relative_chain_complex,
 )
+from localhomology import homology
+from localhomology.analysis import filtration_persistence
 from localhomology.homology import _excised_chain_complex
+from localhomology.linalg import _forest_kernel
 
 from util import (
     annulus_complex,
     apply,
     dense_vector,
+    elimination_kernel,
     graph_as_one_complex,
     hstack,
     naive_closure,
@@ -348,6 +353,41 @@ def test_representative_counts_match_betti_everywhere():
             continue
         u = random_open_set(rng, x)
         assert homology_basis(x, u).betti() == local_betti(x, u)
+
+
+def test_homology_bases_and_maps_unchanged_by_the_forest_kernel(monkeypatch):
+    # homology_basis, induced_map_rank and filtration_persistence give the
+    # same results when every kernel is taken by elimination alone: on
+    # seeded complexes with nested open pairs, and at levels 0 and 1 of
+    # vertices of an ER(60,300) flag complex.
+    rng = random.Random(83)
+    cases = []  # (complex, larger open set, smaller open set inside it)
+    for _ in range(40):
+        x = random_complex(rng, rng.randint(3, 8), rng.randint(1, 6), 4)
+        u = random_open_set(rng, x, 3)
+        seeds = sorted(u.members)
+        v = x.star([rng.choice(seeds)]) if seeds else u
+        cases.append((x, u, v))
+    flag = flag_complex(erdos_renyi_graph(60, 300, 7))
+    for vertex in range(0, 60, 2):
+        levels = neighborhood_filtration(flag, [(vertex,)], 1).levels
+        cases.append((flag, levels[1], levels[0]))
+
+    def results():
+        out = []
+        for x, u, v in cases:
+            ks = range(x.dim + 2)
+            out.append((homology_basis(x, u), homology_basis(x, v), [induced_map_rank(x, u, v, k) for k in ks]))
+        for vertex in range(0, 60, 12):
+            out.append([filtration_persistence(flag, (vertex,), k, 1) for k in range(3)])
+        return out
+
+    seen = []
+    monkeypatch.setattr(homology, "kernel_basis", lambda m: seen.append(m) or kernel_basis(m))
+    with_forest = results()
+    assert sum(_forest_kernel(m) is not None for m in seen) >= 50
+    monkeypatch.setattr(homology, "kernel_basis", elimination_kernel)
+    assert results() == with_forest
 
 
 # -- induced maps ------------------------------------------------------------

@@ -11,11 +11,12 @@ from localhomology import (
     relative_chain_complex,
     solve_in_image,
 )
-from localhomology.linalg import IncrementalRank, _forest_rank
+from localhomology.linalg import IncrementalRank, _forest_kernel, _forest_rank
 
 from util import (
     apply,
     dense_vector,
+    elimination_kernel,
     from_rows,
     identity_matrix,
     oracle_matmul,
@@ -219,16 +220,17 @@ def takes_forest(matrix: ExactMatrix) -> bool:
     return _forest_rank(matrix.columns.values(), matrix.rows) is not None
 
 
-def random_graph_shaped(rng, rows, cols) -> list[dict]:
-    """Columns x*e_a and x*(e_a - e_b) over a random subset of the rows.
+def random_graph_shaped(rng, rows, cols, scales=SCALES) -> list[dict]:
+    """Columns x*e_a and x*(e_a - e_b), x drawn from scales, over a random subset of the rows.
 
     Rows outside the subset stay untouched; a small subset repeats edges
-    and closes cycles, and some columns repeat an earlier one rescaled.
+    and closes cycles, some columns are empty, and some repeat an earlier
+    one rescaled.
     """
     used = rng.sample(range(rows), rng.randint(0, rows))
     columns = []
     for _ in range(cols):
-        x = rng.choice(SCALES)
+        x = rng.choice(scales)
         draw = rng.random()
         if not used or draw < 0.1:
             columns.append({})
@@ -337,6 +339,65 @@ def test_kernel_vectors_always_in_kernel():
                 assert all(type(x) is int and x != 0 for x in values) and gcd(*values) == 1
                 assert vec[max(vec)] > 0  # positive at its own column, the last it touches
                 assert all(x == 0 for x in apply(m, dense_vector(vec, m.cols)))
+
+
+# -- unit graph-shaped matrices: kernels by the forest walk -------------------
+
+
+def takes_forest_kernel(matrix: ExactMatrix) -> bool:
+    return _forest_kernel(matrix) is not None
+
+
+def random_unit_graph_matrix(rng) -> ExactMatrix:
+    """Columns ±e_a and ±(e_a - e_b); 0 rows and 0 columns are both drawn."""
+    rows, cols = rng.randint(0, 8), rng.randint(0, 14)
+    return ExactMatrix.from_columns(random_graph_shaped(rng, rows, cols, (1, -1)), rows)
+
+
+def test_kernel_of_unit_graph_matrices_matches_elimination():
+    # Every ∂0 and ∂1 of a relative chain complex or a star, and random unit
+    # graph matrices, take the forest walk; the rest of the boundaries
+    # mostly take elimination. The vectors must be the ones elimination
+    # gives, with int values.
+    rng = random.Random(73)
+    matrices = []
+    for _ in range(150):
+        x = random_complex(rng, rng.randint(3, 9), rng.randint(1, 7), 5)
+        faces = sorted(x.all_faces())
+        for excluded in (x.empty_set(), random_open_set(rng, x).complement(), x.star([rng.choice(faces)]).complement()):
+            boundaries = relative_chain_complex(x, excluded).boundaries
+            assert all(map(takes_forest_kernel, boundaries[:2]))
+            matrices.extend(boundaries)
+    matrices += [random_unit_graph_matrix(rng) for _ in range(400)]
+    matrices += [ExactMatrix.zeros(0, 0), ExactMatrix.zeros(0, 3), ExactMatrix.zeros(4, 0)]
+    routes = {True: 0, False: 0}
+    for m in matrices:
+        routes[takes_forest_kernel(m)] += 1
+        basis = kernel_basis(m)
+        assert basis == elimination_kernel(m)
+        assert all(type(v) is int for vec in basis for v in vec.values())
+    assert min(routes.values()) >= 50
+
+
+@pytest.mark.parametrize(
+    "column",
+    [{1: 2}, {0: -2, 2: 2}, {0: 1, 2: 1}, {1: Fraction(1)}, {0: Fraction(1), 1: Fraction(-1)}, {0: 1, 1: -1, 2: 1}],
+    ids=["2e_a", "2(e_a-e_b)", "e_a+e_b", "fraction e_a", "fraction e_a-e_b", "three entries"],
+)
+def test_kernel_of_other_columns_takes_elimination(column):
+    # One such column anywhere sends the whole matrix to elimination, whose
+    # vectors still fill the kernel.
+    rng = random.Random(79)
+    for _ in range(20):
+        m = random_unit_graph_matrix(rng)
+        columns = [m.columns.get(j, {}) for j in range(m.cols)]
+        columns.insert(rng.randint(0, len(columns)), column)
+        m = ExactMatrix.from_columns(columns, max(m.rows, 3))
+        assert not takes_forest_kernel(m)
+        basis = kernel_basis(m)
+        assert basis == elimination_kernel(m)
+        assert rank(m) + len(basis) == m.cols
+        assert all(x == 0 for vec in basis for x in apply(m, dense_vector(vec, m.cols)))
 
 
 def test_solve_identity():

@@ -50,6 +50,21 @@ def test_pearson_zero_variance_is_undefined():
     assert pearson([1, 1, 1], [1, 2, 3]) is None
 
 
+@pytest.mark.parametrize("constant", [[0.1] * 3, [0.05] * 81, [1 / 3] * 10])
+def test_pearson_constant_float_column_is_undefined(constant):
+    # The mean of these columns rounds, so their centred values are tiny
+    # but nonzero; the coefficient must still be None, not 0.0.
+    other = list(range(len(constant)))
+    assert pearson(constant, other) is None
+    assert pearson(other, constant) is None
+
+
+def test_pearson_tiny_nonzero_spread_is_a_number():
+    # One and two ulps above 1.0: a real, if tiny, spread.
+    assert pearson([1.0, 1.0 + 2**-52, 1.0 + 2**-51], [0, 1, 2]) == pytest.approx(1.0)
+    assert pearson([0.1, 0.1, 0.1 + 2**-55], [0.0, 1.0, 2.0]) is not None
+
+
 def test_pearson_positive_affine_invariance():
     rng = random.Random(3)
     for _ in range(25):

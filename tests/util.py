@@ -14,8 +14,10 @@ import random
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from localhomology import ChainComplexRep, ExactMatrix, Graph, SimplicialComplex, maximal_cliques
+from localhomology.linalg import _tagged_reduction
 
 # -- random structures -------------------------------------------------------
 
@@ -196,6 +198,20 @@ def apply(matrix: ExactMatrix, vector) -> tuple[Fraction, ...]:
         if vec[j]:
             out[i] += v * vec[j]
     return tuple(out)
+
+
+def elimination_kernel(matrix: ExactMatrix) -> list[dict[int, int]]:
+    """`kernel_basis` by tagged elimination alone, the route `_forest_kernel` skips.
+
+    The tags each cancelled column keeps, divided by their gcd and keyed by
+    column; the oracle for the forest walk, which must return the same
+    vectors.
+    """
+    basis = []
+    for tags in _tagged_reduction(matrix)[1]:
+        g = gcd(*tags.values())
+        basis.append({-1 - tag: v // g for tag, v in tags.items()})
+    return basis
 
 
 def sparse_vector(vector) -> dict:
