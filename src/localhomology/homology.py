@@ -186,7 +186,10 @@ def induced_map_matrix(
     the homology at U to the homology at V; on chains it is the coordinate
     projection that forgets basis simplices in U but not in V. Columns are
     the images of the source representatives expressed in the target
-    representative basis.
+    representative basis. Their values are `solve_in_image`'s nonzero
+    `Fraction`s, stored as solved: all-zero columns are left out, as
+    `ExactMatrix.from_columns` leaves them out, and the matrix is integral
+    only when it stores no value.
     """
     u = _require_open(complex, larger)
     v = _require_open(complex, smaller)
@@ -212,13 +215,16 @@ def induced_map_matrix(
     # Kernel vectors and boundary columns: nonzero, in range and integral already.
     span = ExactMatrix._stored(len(to_target), len(columns), dict(enumerate(columns)), True)
 
-    out_columns = []
-    for z in src_reps:
+    out_columns = {}
+    for i, z in enumerate(src_reps):
         coords = solve_in_image(span, {to_target[p]: v for p, v in z.items() if p in to_target})
         if coords is None:
             raise AssertionError("projected cycle not expressible in target cycle space")
-        out_columns.append({j: v for j, v in coords.items() if j < n_hom})
-    return ExactMatrix.from_columns(out_columns, n_hom)
+        column = {j: v for j, v in coords.items() if j < n_hom}
+        if column:
+            out_columns[i] = column
+    # Solutions are nonzero Fractions at rows below n_hom: already in the stored form.
+    return ExactMatrix._stored(n_hom, len(src_reps), out_columns, not out_columns)
 
 
 def induced_map_rank(complex: SimplicialComplex, larger, smaller, k: int) -> int:

@@ -476,7 +476,27 @@ class IncrementalRank:
     def add(self, vector: Mapping[int, object]) -> bool:
         """True when the {index: value} vector raises the rank; it is then kept.
 
-        The vector, such as a column of `ExactMatrix.columns`, is only read.
+        The vector, such as a column of `ExactMatrix.columns`, is only read,
+        and the pivot kept is always a copy. A dict of `int` values at `int`
+        keys at least 0, as every boundary column and kernel vector is, is
+        copied without its zeros in one pass and reduced as it is. At the
+        first other key or value the partial copy is dropped, and that
+        vector, like any other mapping, takes `_vector`'s rule and then
+        `_scaled`, so it is converted, or refused with `ValueError`, exactly
+        as a solve's target.
         """
+        if isinstance(vector, dict):
+            col = {}
+            for i, value in vector.items():
+                if type(i) is not int or i < 0 or type(value) is not int:
+                    break
+                if value:
+                    col[i] = value
+            else:
+                low = _reduce(col, self._pivots)
+                if low is None:
+                    return False
+                self._pivots[low] = col
+                return True
         col, integral = _vector(vector)
         return _add_pivot(col if integral else _scaled(col), self._pivots)

@@ -409,6 +409,42 @@ def test_induced_map_zero_target():
     assert induced_map_rank(x, x.full_set(), u, 2) == 0
 
 
+def test_induced_maps_are_stored_as_from_columns_would_store_them():
+    # induced_map_matrix stores solve_in_image's Fractions as solved; the
+    # matrix must be the one ExactMatrix.from_columns builds from the same
+    # columns, with the same column key order, values and value types, and
+    # the same _integral: on seeded nested open pairs and at levels 0 and 1
+    # of vertices of an ER(60,300) flag complex.
+    rng = random.Random(89)
+    cases = []
+    for _ in range(40):
+        x = random_complex(rng, rng.randint(3, 8), rng.randint(1, 6), 4)
+        u = random_open_set(rng, x, 3)
+        seeds = sorted(u.members)
+        v = x.star([rng.choice(seeds)]) if seeds else u
+        cases.append((x, u, v))
+    flag = flag_complex(erdos_renyi_graph(60, 300, 11))
+    for vertex in range(10):
+        levels = neighborhood_filtration(flag, [(vertex,)], 1).levels
+        cases.append((flag, levels[1], levels[0]))
+
+    def typed(matrix):
+        return [(j, [(i, v, type(v)) for i, v in column.items()]) for j, column in matrix.columns.items()]
+
+    stored = empty = no_target = 0
+    for x, u, v in cases:
+        for k in range(x.dim + 2):
+            m = induced_map_matrix(x, u, v, k)
+            rebuilt = ExactMatrix.from_columns([m.columns.get(j, {}) for j in range(m.cols)], m.rows)
+            assert m == rebuilt
+            assert typed(m) == typed(rebuilt)
+            assert m._integral == rebuilt._integral == (not m.columns)
+            stored += bool(m.columns)
+            empty += m.cols > 0 and not m.columns
+            no_target += m.cols > 0 and m.rows == 0
+    assert stored >= 10 and empty >= 5 and no_target >= 5, (stored, empty, no_target)
+
+
 def test_induced_map_requires_nesting(circle):
     u = circle.star([(0,)])
     v = circle.star([(1,)])

@@ -24,6 +24,7 @@ from util import (
     oracle_rank_minors,
     random_complex,
     random_open_set,
+    reference_add,
     sparse_vector,
     to_dense,
     torus_complex,
@@ -517,6 +518,76 @@ def test_incremental_rank_takes_float_values_as_fractions():
     assert inc.add({0: 0.25, 1: 1.5})
     assert not inc.add({0: Fraction(1, 4), 1: Fraction(3, 2)})
     assert inc.rank == 2
+
+
+def typed_pivots(pivots: dict) -> list:
+    """Each pivot's lowest row and its entries in stored order, with their types."""
+    return [(low, [(i, v, type(v)) for i, v in col.items()]) for low, col in pivots.items()]
+
+
+def test_incremental_rank_add_matches_the_general_route():
+    # add copies an all-int dict in one pass and reduces the copy as it is;
+    # any other vector takes _vector, then _scaled. On seeded sequences of
+    # all-int vectors with explicit zeros, Fraction, float and int mixed
+    # with Fraction in one vector, both give reference_add's answers and
+    # pivots. Each vector is changed after add: no later answer may move.
+    rng = random.Random(71)
+
+    def entry(kind):
+        v = rng.choice([0, 0, 1, -1, 2, -3])
+        if kind == "fraction":
+            return Fraction(v, rng.randint(1, 3))
+        if kind == "float":
+            return v / rng.choice([1, 2, 4])
+        if kind == "mixed":
+            return rng.choice([v, Fraction(v, rng.randint(2, 3))])
+        return v
+
+    seen = {"int_with_zero": 0, "fraction": 0, "float": 0, "mixed": 0, "kept": 0, "dropped": 0}
+    for _ in range(60):
+        length = rng.randint(1, 7)
+        inc, pivots = IncrementalRank(), {}
+        accepted = []
+        for _ in range(12):
+            kind = rng.choice(["int", "fraction", "float", "mixed"])
+            if accepted and rng.random() < 0.4:
+                coeffs = [rng.randint(-2, 2) for _ in accepted]
+                vector = {i: sum(c * a[i] for c, a in zip(coeffs, accepted)) for i in range(length)}
+            else:
+                vector = {i: entry(kind) for i in range(length) if rng.random() < 0.7}
+            types = {type(v) for v in vector.values()}
+            seen["int_with_zero"] += types == {int} and 0 in vector.values()
+            seen["fraction"] += types == {Fraction}
+            seen["float"] += float in types
+            seen["mixed"] += types == {int, Fraction}
+            reference = dict(vector)
+            grows = inc.add(vector)
+            assert grows == reference_add(pivots, reference)
+            assert typed_pivots(inc._pivots) == typed_pivots(pivots)
+            seen["kept" if grows else "dropped"] += 1
+            if grows:
+                accepted.append(dense_vector(reference, length))
+            for i in vector:  # the caller's dict is no pivot
+                vector[i] = 7
+            vector[length] = 1
+        assert inc.rank == len(pivots) == len(accepted)
+        assert typed_pivots(inc._pivots) == typed_pivots(pivots)
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize(
+    "vector",
+    [{0: 1, -1: 1}, {0: 1, 1.5: 1}, {0: 1, "1": 1}, {0: 1, True: 1}, {0: 1, 1: True}, {0: 1, 1: False}],
+    ids=["negative_key", "float_key", "str_key", "bool_key", "true_value", "false_value"],
+)
+def test_incremental_rank_refuses_a_bad_entry_after_a_valid_one(vector):
+    # The one-pass copy meets the valid entry first, then drops its copy
+    # and leaves the refusal to _vector; nothing is kept.
+    inc = IncrementalRank()
+    assert inc.add({1: 2, 2: -1})
+    with pytest.raises(ValueError):
+        inc.add(vector)
+    assert typed_pivots(inc._pivots) == [(2, [(1, 2, int), (2, -1, int)])]
 
 
 # -- int-or-Fraction entries ---------------------------------------------------

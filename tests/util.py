@@ -17,7 +17,7 @@ from itertools import combinations
 from math import gcd
 
 from localhomology import ChainComplexRep, ExactMatrix, Graph, SimplicialComplex, maximal_cliques
-from localhomology.linalg import _tagged_reduction
+from localhomology.linalg import _add_pivot, _scaled, _tagged_reduction, _vector
 
 # -- random structures -------------------------------------------------------
 
@@ -212,6 +212,18 @@ def elimination_kernel(matrix: ExactMatrix) -> list[dict[int, int]]:
         g = gcd(*tags.values())
         basis.append({-1 - tag: v // g for tag, v in tags.items()})
     return basis
+
+
+def reference_add(pivots: dict, vector) -> bool:
+    """`IncrementalRank.add` by its general route alone, on a pivots dict.
+
+    `_vector`, then `_scaled` when a value is not an `int`, then
+    `_add_pivot`: the route `add` takes for any vector that is not a dict
+    of `int`s, and the reference its one-pass copy must match in answers
+    and pivots.
+    """
+    col, integral = _vector(vector)
+    return _add_pivot(col if integral else _scaled(col), pivots)
 
 
 def sparse_vector(vector) -> dict:
