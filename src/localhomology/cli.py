@@ -133,6 +133,13 @@ def _parse_simplex_labels(text: str) -> list:
     return [parse_label(t) for t in tokens]
 
 
+def _write_text(path, text: str) -> None:
+    try:  # an unwritable output path is malformed input, like an unreadable input path
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise MalformedInputError(f"cannot write output to {path}: {exc}") from exc
+
+
 def _cmd_betti(args) -> int:
     complex = load_complex(args.complex)
     print(json.dumps({"betti": list(global_betti(complex))}))
@@ -150,7 +157,7 @@ def _cmd_local(args) -> int:
     profiles = profile_many(complex, targets, m_max=args.m)
     text = profiles_to_csv(complex, profiles)
     if args.csv:
-        Path(args.csv).write_text(text, encoding="utf-8")
+        _write_text(args.csv, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -201,19 +208,22 @@ def _cmd_correlate(args) -> int:
         print(f"note: {note}", file=sys.stderr)
     if args.scatter_dir:
         out_dir = Path(args.scatter_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise MalformedInputError(f"cannot make directory {out_dir}: {exc}") from exc
         for name in report.invariants:
             for k in report.degrees:
                 for m in report.levels:
                     path = out_dir / f"scatter_{name}_beta{k}_N{m}.csv"
-                    path.write_text(report.scatter_csv(name, k, m), encoding="utf-8")
+                    _write_text(path, report.scatter_csv(name, k, m))
     return EXIT_OK
 
 
 def _cmd_generate(args) -> int:
     text = format_edge_list(args.build(args))
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK

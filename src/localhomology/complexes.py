@@ -79,9 +79,8 @@ class SimplicialComplex:
     store of the faces, and the per-vertex index populate lazily, each built
     in full before it is stored and never changed afterwards; the face
     index's closure-mask cache only gains entries, each with its one
-    possible value. The operators record on their inputs and results what
-    they learn (open, closed, the closure), and star and closure answer from
-    those facts when they can; each goes only from unknown to known.
+    possible value. A set's facts (open, closed) are fixed when it is made;
+    the one later write is the closure `closure` caches on its input.
     Concurrent readers are safe: a racing recomputation produces an
     identical value.
     """
@@ -181,28 +180,25 @@ class SimplicialComplex:
             raise UnknownSimplexError(f"{simplex} is not a face of the complex")
         return simplex
 
-    def labels_of(self, simplex: Simplex) -> tuple[Hashable, ...]:
-        return tuple(self.labels[v] for v in simplex)
-
     def cofacets(self, simplex: Simplex) -> tuple[Simplex, ...]:
         """Faces one dimension up that contain the given simplex, in lexicographic order."""
-        if not self._is_face(simplex) or len(simplex) > self.dim:
+        i = self._face_id(simplex)
+        if i is None or len(simplex) > self.dim:
             return ()
         index = self._face_index()
-        i = index.ids[simplex]
         # The cofacets are the star's faces in the id range of the next dimension.
         lo, hi = index.starts[len(simplex)], index.starts[len(simplex) + 1]
         ups = (index.star_mask(i) >> lo) & ((1 << (hi - lo)) - 1)
         return tuple(index.faces[lo + j] for j in _ascending(ups))
 
-    def _is_face(self, simplex) -> bool:
-        """Whether simplex is a face in ascending vertex order: a key of the face index."""
+    def _face_id(self, simplex) -> int | None:
+        """The id of a face given in ascending vertex order; None for anything else."""
         if not isinstance(simplex, tuple):
-            return False
+            return None
         try:
-            return simplex in self._face_index().ids
+            return self._face_index().ids.get(simplex)
         except TypeError:  # an unhashable vertex
-            return False
+            return None
 
     def _face_index(self) -> "_FaceIndex":
         if self._index is None:
@@ -223,7 +219,7 @@ class SimplicialComplex:
         return SimplexSet._from_mask(self, self._face_index().full, open=True, closed=True)
 
     def empty_set(self) -> "SimplexSet":
-        return SimplexSet(self, ())
+        return self.full_set().complement()  # open and closed, as X is
 
     def _coerce(self, subset) -> "SimplexSet":
         if isinstance(subset, SimplexSet):
@@ -236,50 +232,41 @@ class SimplicialComplex:
         """Smallest open set containing the subset: the OR of its members' stars.
 
         Members are taken lowest id first, and one already inside the star
-        so far adds nothing and is skipped. A subset known to be open, or
-        found to be its own star, is returned itself and recorded open.
+        so far adds nothing and is skipped. A subset made open, such as a
+        star, is returned itself.
         """
         a = self._coerce(subset)
         if a._open:
             return a
-        mask = rest = a._mask
-        if rest:  # the star of nothing is empty and needs no index
-            index = self._face_index()
-            out = 0
-            while rest:
-                star = index.star_mask((rest & -rest).bit_length() - 1)
-                out |= star
-                rest &= ~star
-            if out != mask:
-                return SimplexSet._from_mask(self, out, open=True)
-        a._open = True
-        return a
+        index = self._face_index()
+        rest = a._mask
+        out = 0
+        while rest:
+            star = index.star_mask((rest & -rest).bit_length() - 1)
+            out |= star
+            rest &= ~star
+        return SimplexSet._from_mask(self, out, open=True)
 
     def closure(self, subset) -> "SimplexSet":
         """Smallest closed set containing the subset (a subcomplex).
 
         The OR of the members' closure masks, taken highest id first; a
-        member already inside the closure so far is skipped. When cl A is A,
-        A itself is returned and recorded closed. A subset known to be closed
-        is returned at once, and one whose closure was computed before gets
-        that same closure back.
+        member already inside the closure so far is skipped. A subset made
+        closed, such as a closure, is returned itself; any other gets its
+        closure computed once, cached on it, and returned again after.
         """
         a = self._coerce(subset)
         if a._closed:
             return a
-        if a._closure is not None:
-            return a._closure
-        index = self._face_index()
-        mask = rest = a._mask
-        out = 0
-        while rest:
-            down = index.down_mask(rest.bit_length() - 1)
-            out |= down
-            rest &= ~down
-        if out == mask:
-            a._closed = True
-            return a
-        a._closure = SimplexSet._from_mask(self, out, closed=True)
+        if a._closure is None:
+            index = self._face_index()
+            rest = a._mask
+            out = 0
+            while rest:
+                down = index.down_mask(rest.bit_length() - 1)
+                out |= down
+                rest &= ~down
+            a._closure = SimplexSet._from_mask(self, out, closed=True)
         return a._closure
 
     def link(self, subset) -> "SimplexSet":
@@ -293,8 +280,8 @@ class SimplicialComplex:
     def frontier(self, subset) -> "SimplexSet":
         """cl A intersected with cl(X minus A), a closed set.
 
-        For A known open, X minus A is known closed, so its closure is
-        itself and costs nothing.
+        For A made open, its complement is made closed, so the closure of
+        X minus A is itself and costs nothing.
         """
         a = self._coerce(subset)
         cl = self.closure(a)
@@ -439,26 +426,26 @@ class SimplexSet:
     simplices, is derived from the mask on first use and kept. Two sets are
     equal when they belong to the same complex and have the same mask.
 
-    A set also keeps what the operators have learned about it: `_open` and
-    `_closed` (False while unknown) and `_closure`, its closure once computed
-    when that is another set. A star is open, a closure and a frontier are
-    closed, the complement swaps the two, and an operator that finds its
-    input unchanged records the fact on the input; star and closure then
-    answer from these facts without touching the masks. Each fact goes only
-    from unknown to known and has one possible value.
+    A set's facts, `_open` and `_closed`, are fixed by the code that makes
+    it: a star is open, a closure and a frontier are closed, the full and
+    empty sets are both, the complement swaps the two, and a set built from
+    members or by `|` and `&` is neither (False reads as unknown). Star and
+    closure answer from these facts without touching the masks. The one
+    later write is `_closure`, the closure `closure` caches on a set not
+    made closed; it has one possible value.
     """
 
     __slots__ = ("complex", "_members", "_mask", "_open", "_closed", "_closure")
 
     def __init__(self, complex: SimplicialComplex, members: Iterable[Simplex]):
-        ids = complex._face_index().ids
+        size = len(complex._face_index().faces)  # refused above MAX_FACES
         members = tuple(members)
-        for s in members:  # so that every id lookup below succeeds
-            if not complex._is_face(s):
-                raise UnknownSimplexError(f"{s} is not a face of the complex")
+        ids = list(map(complex._face_id, members))
+        if None in ids:
+            raise UnknownSimplexError(f"{members[ids.index(None)]} is not a face of the complex")
         self.complex = complex
         self._members: frozenset[Simplex] | None = None
-        self._mask = _mask_of(map(ids.__getitem__, members), len(ids))
+        self._mask = _mask_of(ids, size)
         self._open = self._closed = False
         self._closure: SimplexSet | None = None
 
@@ -495,8 +482,8 @@ class SimplexSet:
 
     def __contains__(self, simplex) -> bool:
         # A non-face, an unhashable input included, is in no set.
-        complex = self.complex
-        return complex._is_face(simplex) and bool(self._mask >> complex._face_index().ids[simplex] & 1)
+        i = self.complex._face_id(simplex)
+        return i is not None and bool(self._mask >> i & 1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplexSet):
@@ -514,10 +501,14 @@ class SimplexSet:
             raise ValueError("simplex sets belong to different complexes")
 
     def __or__(self, other: "SimplexSet") -> "SimplexSet":
+        if not isinstance(other, SimplexSet):
+            return NotImplemented
         self._check_host(other)
         return SimplexSet._from_mask(self.complex, self._mask | other._mask)
 
     def __and__(self, other: "SimplexSet") -> "SimplexSet":
+        if not isinstance(other, SimplexSet):
+            return NotImplemented
         self._check_host(other)
         return SimplexSet._from_mask(self.complex, self._mask & other._mask)
 
@@ -525,12 +516,6 @@ class SimplexSet:
         """X minus the set: closed when the set is known open, and open when it is known closed."""
         full = self.complex._face_index().full
         return SimplexSet._from_mask(self.complex, full & ~self._mask, open=self._closed, closed=self._open)
-
-    def vertex_set(self) -> frozenset[int]:
-        out: set[int] = set()
-        for s in self.members:
-            out.update(s)
-        return frozenset(out)
 
     def connected_components(self) -> int:
         """Components of the face-inclusion relation restricted to the set.

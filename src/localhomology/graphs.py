@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Hashable, Iterable, Sequence
 
@@ -95,10 +96,6 @@ class Graph:
         ]
         return Graph(len(keep), edges, labels=tuple(self.labels[v] for v in keep))
 
-    def open_neighborhood(self, v: int) -> "Graph":
-        """Subgraph induced by the neighbors of v; excludes v itself."""
-        return self.induced_subgraph(self.neighbors(v))
-
     def clustering_coefficient(self, v: int) -> Fraction:
         """Edge density of the open neighborhood, exact; 0 when deg v < 2."""
         nbrs = self.neighbors(v)
@@ -179,12 +176,12 @@ def flag_complex(graph: Graph) -> SimplicialComplex:
 # -- edge-list files --------------------------------------------------------
 
 
+_INTEGER = re.compile(r"-?[0-9]+")  # int() alone also reads "+2", "1_0", " 3" and "٣"
+
+
 def parse_label(token: str) -> Hashable:
-    """An optional minus and then digits reads as an integer; any other token is a string label."""
-    try:
-        return int(token) if token.lstrip("-").isdigit() else token
-    except ValueError:  # "--5", "²": digits int() cannot read
-        return token
+    """An optional minus and then ASCII digits reads as an integer; any other token is a string label."""
+    return int(token) if _INTEGER.fullmatch(token) else token
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -202,10 +199,9 @@ def parse_edge_list(text: str) -> Graph:
         if not line:
             continue
         if first_content and line.startswith("n="):
-            try:
-                n = int(line[2:])
-            except ValueError as exc:
-                raise MalformedInputError(f"line {lineno}: bad vertex count {line!r}") from exc
+            if not _INTEGER.fullmatch(line[2:]):
+                raise MalformedInputError(f"line {lineno}: bad vertex count {line!r}")
+            n = int(line[2:])
             if n < 0:
                 raise MalformedInputError(f"line {lineno}: negative vertex count")
             first_content = False

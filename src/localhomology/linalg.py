@@ -129,6 +129,8 @@ class ExactMatrix:
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         """Column j of the product is the sum of w * column k of self over
         the entries w at (k, j) of other."""
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
         columns = []

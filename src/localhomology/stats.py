@@ -42,6 +42,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> Optional[float]:
     centred sums of squares of a constant float column such as [0.1] * 3 are
     rounding noise, not zero, and would give a coefficient of 0.0. A spread
     so small that its sum of squares underflows to zero also gives None.
+    A NaN or infinite value in either argument raises `PreconditionError`.
     """
     if len(x) != len(y):
         raise PreconditionError("vectors must have equal length")
@@ -51,6 +52,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> Optional[float]:
 
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
+    if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
+        raise PreconditionError("values must be finite, not NaN or infinity")
     if xa.min() == xa.max() or ya.min() == ya.max():
         return None
     xc = xa - xa.mean()

@@ -51,6 +51,7 @@ from util import (
     cone_over,
     graph_as_one_complex,
     hstack,
+    open_neighborhood,
     random_complex,
     random_connected_complex,
     random_connected_graph,
@@ -159,7 +160,7 @@ def test_criterion_4_planar_clustering_bounds(acceptance):
             if d < 2:
                 continue
             cc = graph.clustering_coefficient(v)
-            pi0 = graph.open_neighborhood(v).connected_components()
+            pi0 = open_neighborhood(graph, v).connected_components()
             if not Fraction(2 * (d - pi0), d * (d - 1)) <= cc <= Fraction(6 * (d - pi0), d * (d - 1)):
                 cc_failures += 1
             h = local_betti_at(flag, (v,))[1]

@@ -29,6 +29,7 @@ from util import (
     cone_over,
     fan_disk,
     graph_as_one_complex,
+    open_neighborhood,
     random_complex,
     random_connected_complex,
     random_connected_graph,
@@ -448,7 +449,7 @@ def test_planar_clustering_and_local_homology_bounds():
             if d < 2:
                 continue
             cc = graph.clustering_coefficient(v)
-            pi0 = graph.open_neighborhood(v).connected_components()
+            pi0 = open_neighborhood(graph, v).connected_components()
             low = Fraction(2 * (d - pi0), d * (d - 1))
             high = Fraction(6 * (d - pi0), d * (d - 1))
             assert low <= cc <= high

@@ -225,6 +225,38 @@ def test_local_csv_file_output(tetra_json, tmp_path, capsys):
     assert text.splitlines()[0].startswith("simplex;dim;m;")
 
 
+def _assert_clean_failure(code, out, err):
+    # A write failure is reported on one error line, with no traceback.
+    assert code == 1
+    assert err.startswith("error: cannot ") and "Traceback" not in err
+
+
+def test_local_csv_to_a_missing_directory_fails_cleanly(tetra_json, tmp_path, capsys):
+    target = tmp_path / "missing" / "report.csv"
+    code, out, err = run(capsys, "local", tetra_json, "--csv", str(target))
+    _assert_clean_failure(code, out, err)
+    assert out == "" and str(target) in err
+
+
+def test_generate_out_to_a_directory_fails_cleanly(tmp_path, capsys):
+    code, out, err = run(capsys, "generate", "er", "--n", "5", "--edges", "6", "--seed", "1", "--out", str(tmp_path))
+    _assert_clean_failure(code, out, err)
+    assert out == "" and str(tmp_path) in err
+
+
+def test_correlate_unwritable_scatter_dir_fails_cleanly(tmp_path, capsys):
+    # The directory cannot be made (a file, or under a file), or a scatter
+    # file's name is taken by a directory.
+    blocker = tmp_path / "file.txt"
+    blocker.write_text("", encoding="utf-8")
+    taken = tmp_path / "taken"
+    (taken / "scatter_degree_centrality_beta1_N0.csv").mkdir(parents=True)
+    for scatter in (blocker, blocker / "scatter", taken):
+        code, out, err = run(capsys, "correlate", "--dataset", "karate", "--m", "0", "--k", "1", "--scatter-dir", str(scatter))
+        _assert_clean_failure(code, out, err)
+        assert str(scatter) in err
+
+
 def test_strat_output_identical_across_runs(tetra_json, capsys):
     code, one, _ = run(capsys, "strat", tetra_json, "--dim", "2")
     code, two, _ = run(capsys, "strat", tetra_json, "--dim", "2")

@@ -20,12 +20,14 @@ from localhomology import (
 )
 
 from util import (
+    labels_of,
     naive_closure,
     naive_components,
     naive_contains,
     naive_maximal,
     naive_star,
     random_complex,
+    vertex_set,
 )
 
 from localhomology.complexes import _ascending
@@ -117,7 +119,7 @@ def test_interning_is_dense_and_deterministic():
     # Encounter order with in-simplex label sorting: a, c, then b.
     assert x.labels == ("a", "c", "b")
     assert x.simplex_with_labels(["a"]) == (0,)
-    assert x.labels_of((0, 1)) == ("a", "c")
+    assert labels_of(x, (0, 1)) == ("a", "c")
 
 
 def test_equal_labels_of_different_types_are_refused():
@@ -144,6 +146,7 @@ def test_huge_simplex_fails_fast_without_enumerating_faces():
         lambda: x.simplex_set([(3,)]),
         lambda: x.empty_set(),
         lambda: SimplexSet(x, [(3,)]),
+        lambda: SimplexSet(x, ()),
         lambda: x.cofacets((0, 40)),
     ):
         with pytest.raises(PreconditionError, match=str(2**40 - 1)):
@@ -425,7 +428,7 @@ def test_link_vertex_disjoint_characterization_on_vertex_seeds():
             continue
         seeds = rng.sample(vertices, rng.randint(1, min(3, len(vertices))))
         seed_set = x.simplex_set(seeds)
-        seed_vertices = seed_set.vertex_set()
+        seed_vertices = vertex_set(seed_set)
         formula = x.link(seed_set)
         alternative = {
             s
@@ -619,7 +622,7 @@ def test_mask_operators_match_naive_oracles():
 
 
 def _assert_facts_hold(x, subset):
-    # Every fact a set records must be true of its members.
+    # Every fact a set was made with, and its cached closure, must be true of its members.
     members = subset.members
     if subset._open:
         assert naive_star(x, members) == members
@@ -632,7 +635,7 @@ def _assert_facts_hold(x, subset):
 
 
 def test_chained_operators_match_naive_oracles_and_record_only_true_facts():
-    # Operators applied to operator results, whose recorded facts let star
+    # Operators applied to operator results, whose facts let star
     # and closure skip the masks, against the oracles on every result.
     rng = random.Random(53)
     for _ in range(120):
@@ -645,7 +648,7 @@ def test_chained_operators_match_naive_oracles_and_record_only_true_facts():
         user = x.simplex_set(chosen)
         results = [user]
 
-        # is_open and is_closed on a user-built set, before and after the first call records a fact.
+        # is_open and is_closed on a user-built set, twice: the second is_closed reads the cached closure.
         for _ in range(2):
             assert x.is_open(user) == (naive_star(x, a) == a)
             assert x.is_closed(user) == (naive_closure(a) == a)
@@ -660,7 +663,7 @@ def test_chained_operators_match_naive_oracles_and_record_only_true_facts():
         closure = x.closure(user)
         closure_closure = x.closure(closure)
         assert closure.members == naive_closure(a) == closure_closure.members
-        assert x.closure(user).members == closure.members  # from the recorded closure
+        assert x.closure(user).members == closure.members  # from the cached closure
         assert x.is_closed(closure) and x.is_closed(closure_closure)
         results += [closure, closure_closure]
 
@@ -690,6 +693,43 @@ def test_chained_operators_match_naive_oracles_and_record_only_true_facts():
             assert x.star(subset) == x.simplex_set(naive_star(x, subset.members))
             assert x.closure(subset) == x.simplex_set(naive_closure(subset.members))
             _assert_facts_hold(x, subset)
+
+
+def test_facts_are_fixed_when_a_set_is_made():
+    # No operator writes open or closed on a set it is given: a set built
+    # from members stays unknown however often it is tested, star and
+    # closure return new sets for it, and the closure is cached.
+    x = SimplicialComplex.from_maximal([[0, 1, 2], [2, 3]])
+    open_members = x.simplex_set(x.star([(2,)]))
+    closed_members = x.simplex_set(x.closure([(0, 1)]))
+    for subset, is_open in ((open_members, True), (closed_members, False)):
+        for _ in range(2):
+            assert x.is_open(subset) == is_open
+            assert x.is_closed(subset) != is_open
+        assert not subset._open and not subset._closed
+    star = x.star(open_members)
+    assert star == open_members and star is not open_members and x.star(star) is star
+    closure = x.closure(closed_members)
+    assert closure == closed_members and closure is not closed_members
+    assert x.closure(closed_members) is closure and x.closure(closure) is closure
+    for made in (x.empty_set(), x.full_set()):
+        assert made._open and made._closed
+        assert x.star(made) is made and x.closure(made) is made
+    assert (star | closure)._open is False and (star & closure)._closed is False
+
+
+def test_set_operators_refuse_foreign_operands():
+    x = SimplicialComplex.from_maximal([[0, 1]])
+    y = SimplicialComplex.from_maximal([[0, 1]])
+    s = x.full_set()
+    for combine in (lambda a, b: a | b, lambda a, b: a & b):
+        for other in (3, None, frozenset(s.members)):
+            with pytest.raises(TypeError):
+                combine(s, other)
+            with pytest.raises(TypeError):
+                combine(other, s)
+        with pytest.raises(ValueError, match="different complexes"):
+            combine(s, y.full_set())
 
 
 def test_cofacets(triangle):

@@ -19,8 +19,9 @@ from localhomology import (
     parse_edge_list,
     planar_grid_graph,
 )
+from localhomology.graphs import parse_label
 
-from util import oracle_flag_complex, oracle_maximal_cliques
+from util import open_neighborhood, oracle_flag_complex, oracle_maximal_cliques
 
 
 @pytest.fixture
@@ -75,19 +76,19 @@ def test_unknown_vertex():
 
 
 def test_open_neighborhood_of_hub(k4):
-    nb = k4.open_neighborhood(3)
+    nb = open_neighborhood(k4, 3)
     assert nb.n == 3
     assert nb.edge_count == 3  # neighbors of the hub form a triangle
 
 
 def test_open_neighborhood_of_isolated():
     g = Graph.from_edge_list([(0, 1)], n=3)
-    assert g.open_neighborhood(2).n == 0
+    assert open_neighborhood(g, 2).n == 0
 
 
 def test_star_graph_center_neighborhood_is_edgeless():
     g = Graph.from_edge_list([(0, i) for i in range(1, 5)])
-    nb = g.open_neighborhood(0)
+    nb = open_neighborhood(g, 0)
     assert nb.n == 4
     assert nb.edge_count == 0
 
@@ -170,7 +171,7 @@ def test_link_skeleton_is_open_neighborhood():
         fc = flag_complex(g)
         for v in range(g.n):
             link = fc.link([(v,)])
-            nb = g.open_neighborhood(v)
+            nb = open_neighborhood(g, v)
             link_vertices = {s[0] for s in link.members if len(s) == 1}
             link_edges = {s for s in link.members if len(s) == 2}
             expected_vertices = set(g.neighbors(v))
@@ -276,7 +277,7 @@ def test_labeled_edge_list_refuses_isolated_vertices():
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
     # The leaves keep their labels 1..3 and have no edge among them.
     with pytest.raises(PreconditionError, match="isolated vertex 1"):
-        format_edge_list(star.open_neighborhood(0))
+        format_edge_list(open_neighborhood(star, 0))
     # Without isolated vertices a labeled graph round-trips as label pairs.
     path = star.induced_subgraph([0, 2, 3])
     assert format_edge_list(path) == "0 2\n0 3\n"
@@ -360,6 +361,22 @@ def test_edge_list_refuses_equal_labels_of_different_types():
     # True == 1, but vertex 1 must not silently become vertex True.
     with pytest.raises(MalformedInputError, match="True and 1"):
         Graph.from_edge_list([(True, 2), (1, 3)])
+
+
+@pytest.mark.parametrize("count", ["1_0", "+2", "\u0663", " 3", "", "2.0"])
+def test_edge_list_count_is_ascii_digits_only(count):
+    # int() reads every one of these; only an optional minus and ASCII digits count.
+    with pytest.raises(MalformedInputError, match="bad vertex count"):
+        parse_edge_list(f"n={count}\n0 1\n")
+
+
+def test_edge_list_labels_are_integers_only_as_ascii_digits():
+    # The Arabic-Indic digit three is a string label, not the vertex 3.
+    g = parse_edge_list("\u0663 3\n")
+    assert g.n == 2 and g.labels == (3, "\u0663") and g.edges == ((0, 1),)
+    assert [parse_label(t) for t in ("-7", "007", "-0")] == [-7, 7, 0]
+    assert [parse_label(t) for t in ("+2", "1_0", "\u0663", "--5", "-", "")] == ["+2", "1_0", "\u0663", "--5", "-", ""]
+    assert parse_edge_list("n=3\n0 1\n").n == 3
 
 
 def test_edge_list_malformed():

@@ -466,6 +466,16 @@ def test_matmul_and_apply_agree():
         assert tuple(to_dense(product)[i][j] for i in range(4)) == expect
 
 
+
+def test_matmul_refuses_a_non_matrix_operand():
+    m = from_rows([[1, 2], [3, 4]])
+    for other in (3, [[1], [0]], None):
+        with pytest.raises(TypeError):
+            m @ other
+    with pytest.raises(ValueError, match="inner dimensions"):
+        m @ from_rows([[1, 2]])
+
+
 def test_incremental_rank():
     inc = IncrementalRank()
     assert inc.add({0: 1})

@@ -39,6 +39,14 @@ def test_pearson_hand_computed_value():
     assert pearson([1, 2, 3], [1, 2, 4]) == pytest.approx(expected, abs=1e-15)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pearson_rejects_non_finite_values(bad):
+    # numpy would return nan with a RuntimeWarning instead.
+    for x, y in (([1.0, bad, 2.0], [1, 2, 3]), ([1, 2, 3], [1.0, bad, 2.0])):
+        with pytest.raises(PreconditionError, match="finite"):
+            pearson(x, y)
+
+
 def test_pearson_rejects_bad_lengths():
     with pytest.raises(PreconditionError):
         pearson([1, 2], [1, 2, 3])

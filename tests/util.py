@@ -256,6 +256,27 @@ def hstack(left: ExactMatrix, right: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(left.rows, left.cols + right.cols, entries)
 
 
+# -- queries only the tests make ---------------------------------------------
+
+
+def labels_of(complex: SimplicialComplex, simplex) -> tuple:
+    """The original labels of a simplex's vertex ids."""
+    return tuple(complex.labels[v] for v in simplex)
+
+
+def vertex_set(subset) -> frozenset[int]:
+    """The vertex ids of a simplex set's members."""
+    out: set[int] = set()
+    for s in subset.members:
+        out.update(s)
+    return frozenset(out)
+
+
+def open_neighborhood(graph: Graph, v: int) -> Graph:
+    """Subgraph induced by the neighbors of v; excludes v itself."""
+    return graph.induced_subgraph(graph.neighbors(v))
+
+
 # -- independent oracles -----------------------------------------------------
 
 
