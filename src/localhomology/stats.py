@@ -106,14 +106,11 @@ class CorrelationReport:
                     lines.append(f"{name},{k},{m},{self.subject},{cell}")
         return "\n".join(lines) + "\n"
 
-    def scatter(self, invariant: str, k: int, m: int) -> list[tuple[float, float]]:
+    def scatter_csv(self, invariant: str, k: int, m: int) -> str:
         xs = self.invariant_values[invariant]
         ys = self.betti_columns[(k, m)]
-        return [(float(x), float(y)) for x, y in zip(xs, ys)]
-
-    def scatter_csv(self, invariant: str, k: int, m: int) -> str:
         lines = ["x,y"]
-        lines.extend(f"{x:.10g},{y:.10g}" for x, y in self.scatter(invariant, k, m))
+        lines.extend(f"{float(x):.10g},{float(y):.10g}" for x, y in zip(xs, ys))
         return "\n".join(lines) + "\n"
 
 

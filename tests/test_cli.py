@@ -41,7 +41,10 @@ def annulus_json(tmp_path):
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # a usage error, reported by argparse
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -134,10 +137,10 @@ def test_correlate_karate_contains_reference_cell(capsys):
 
 
 def test_correlate_needs_exactly_one_source(capsys):
-    code, _, err = run(capsys, "correlate")
-    assert code == 1
-    code, _, err = run(capsys, "correlate", "x.txt", "--dataset", "karate")
-    assert code == 1
+    code, out, err = run(capsys, "correlate")
+    assert code == 1 and out == ""
+    code, out, err = run(capsys, "correlate", "x.txt", "--dataset", "karate")
+    assert code == 1 and out == ""
 
 
 def test_correlate_rejects_degree_zero(capsys):
@@ -178,10 +181,31 @@ def test_generate_er_deterministic(capsys):
     assert len(first.splitlines()) == 21
 
 
-def test_generate_requires_seed(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["generate", "er", "--n", "12", "--edges", "20"])
-    assert info.value.code == 1
+# The options of each generator family other than the shared --seed and --out.
+FAMILIES = {
+    "er": "--n 12 --edges 20",
+    "ba": "--n 10 --attach 2",
+    "planar": "--width 3 --height 3 --diag-prob 0.5",
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_generate_requires_seed(family, capsys):
+    code, out, err = run(capsys, "generate", family, *FAMILIES[family].split())
+    assert code == 1
+    assert out == ""
+    assert "--seed" in err
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_generate_out_writes_the_stdout_bytes(family, tmp_path, capsys):
+    argv = ["generate", family, *FAMILIES[family].split(), "--seed", "3"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.startswith("n=")
+    target = tmp_path / "graph.txt"
+    code, rest, _ = run(capsys, *argv, "--out", str(target))
+    assert code == 0 and rest == ""
+    assert target.read_bytes() == out.encode("utf-8")
 
 
 def test_generate_ba_and_planar(tmp_path, capsys):
@@ -226,8 +250,10 @@ def test_local_csv_file_output(tetra_json, tmp_path, capsys):
 
 
 def _assert_clean_failure(code, out, err):
-    # A write failure is reported on one error line, with no traceback.
+    # A write failure is reported on one error line, with no traceback, and
+    # since files are written before stdout, nothing reaches stdout.
     assert code == 1
+    assert out == ""
     assert err.startswith("error: cannot ") and "Traceback" not in err
 
 
@@ -235,13 +261,13 @@ def test_local_csv_to_a_missing_directory_fails_cleanly(tetra_json, tmp_path, ca
     target = tmp_path / "missing" / "report.csv"
     code, out, err = run(capsys, "local", tetra_json, "--csv", str(target))
     _assert_clean_failure(code, out, err)
-    assert out == "" and str(target) in err
+    assert str(target) in err
 
 
 def test_generate_out_to_a_directory_fails_cleanly(tmp_path, capsys):
     code, out, err = run(capsys, "generate", "er", "--n", "5", "--edges", "6", "--seed", "1", "--out", str(tmp_path))
     _assert_clean_failure(code, out, err)
-    assert out == "" and str(tmp_path) in err
+    assert str(tmp_path) in err
 
 
 def test_correlate_unwritable_scatter_dir_fails_cleanly(tmp_path, capsys):
@@ -274,19 +300,72 @@ def test_dataset_karate(capsys):
 def test_exit_code_malformed_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
-    code, _, err = run(capsys, "betti", str(bad))
+    code, out, err = run(capsys, "betti", str(bad))
     assert code == 1
+    assert out == ""
     assert "error:" in err
 
 
 def test_exit_code_missing_file(capsys):
-    code, _, err = run(capsys, "betti", "/nonexistent/complex.json")
+    code, out, err = run(capsys, "betti", "/nonexistent/complex.json")
     assert code == 1
+    assert out == ""
 
 
 def test_exit_code_unknown_simplex(tetra_json, capsys):
-    code, _, err = run(capsys, "local", tetra_json, "--simplex", "0,9")
+    code, out, err = run(capsys, "local", tetra_json, "--simplex", "0,9")
     assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "local TETRA --simplex",
+        "local TETRA --csv",
+        "generate er --n 5 --edges 6 --seed 1 --out",
+        "correlate --dataset karate --m 0 --k 1 --scatter-dir",
+    ],
+)
+def test_empty_option_values_are_refused(command, tetra_json, tmp_path, monkeypatch, capsys):
+    # An empty value is not "no value": it is refused, and an empty path
+    # does not stand for stdout or for the working directory.
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    argv = [tetra_json if token == "TETRA" else token for token in command.split()]
+    code, out, err = run(capsys, *argv, "")
+    assert code == 1
+    assert out == ""
+    assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert list(cwd.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["1_0", "+2", "\u0663"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        "local TETRA --m",
+        "strat TETRA --dim",
+        "correlate --dataset karate --k 1 --m",
+        "correlate --dataset karate --m 0 --k",
+        "generate er --n 5 --edges 6 --seed",
+        "generate er --n 5 --seed 1 --edges",
+        "generate ba --attach 2 --seed 1 --n",
+        "generate ba --n 5 --seed 1 --attach",
+        "generate planar --height 3 --diag-prob 0.5 --seed 1 --width",
+        "generate planar --width 3 --diag-prob 0.5 --seed 1 --height",
+    ],
+)
+def test_integer_options_are_ascii_digits_only(command, value, tetra_json, capsys):
+    # The edge-list rule: int() alone would read "1_0" as 10, "+2" as 2 and
+    # the Arabic-Indic digit three as 3.
+    argv = [tetra_json if token == "TETRA" else token for token in command.split()]
+    code, out, err = run(capsys, *argv, value)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error:") and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -327,8 +406,9 @@ def test_bad_labels_exit_with_an_error_line(command, text, code, tmp_path, capsy
 def test_exit_code_disconnected_correlate(tmp_path, capsys):
     edges = tmp_path / "edges.txt"
     edges.write_text("n=4\n0 1\n2 3\n", encoding="utf-8")
-    code, _, err = run(capsys, "correlate", str(edges))
+    code, out, err = run(capsys, "correlate", str(edges))
     assert code == 2
+    assert out == ""
 
 
 def test_correlate_output_byte_identical_across_runs(tmp_path, capsys):
