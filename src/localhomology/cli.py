@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -54,6 +55,17 @@ def _integer(text: str) -> int:
     if not _INTEGER.fullmatch(text):
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     return int(text)
+
+
+# The integer rule with an optional ASCII fraction and exponent: float() alone
+# also reads "+0.5", "0_5", "nan", "inf" and "٠.٥".
+_DECIMAL = re.compile(r"-?[0-9]+(\.[0-9]+)?([eE]-?[0-9]+)?")
+
+
+def _decimal(text: str) -> float:
+    if not _DECIMAL.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"not a decimal number: {text!r}")
+    return float(text)
 
 
 def _path(text: str) -> str:
@@ -121,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g_pl = gen_sub.add_parser("planar", parents=[shared], help="grid graph with random face diagonals")
     g_pl.add_argument("--width", type=_integer, required=True)
     g_pl.add_argument("--height", type=_integer, required=True)
-    g_pl.add_argument("--diag-prob", type=float, required=True)
+    g_pl.add_argument("--diag-prob", type=_decimal, required=True)
     g_pl.set_defaults(build=lambda a: planar_grid_graph(a.width, a.height, a.diag_prob, a.seed))
 
     p_data = sub.add_parser("dataset", help="print a bundled dataset")

@@ -371,12 +371,16 @@ class _FaceIndex:
         return mask
 
 
-def _mask_of(ids: Iterable[int], size: int) -> int:
+def _mask_of(ids: Sequence[int], size: int) -> int:
     """The mask with the given bits set, all below `size`.
 
-    It is built as one bitmap and turned into an int once: OR-ing bit by
-    bit into an int would copy the int for every bit.
+    One id, such as the seed face of a star, is `1 << id`: a bitmap would
+    allocate size / 8 bytes for that one bit. More ids, such as the faces
+    containing a vertex, are set in one bitmap turned into an int once:
+    OR-ing bit by bit into an int would copy the int for every bit.
     """
+    if len(ids) == 1:
+        return 1 << ids[0]
     bitmap = bytearray((size + 7) // 8)
     for i in ids:
         bitmap[i >> 3] |= 1 << (i & 7)
@@ -421,10 +425,13 @@ class SimplexSet:
 
     The faces are held as `mask`, an int over the complex's face ids, fixed
     at construction. The constructor takes members, checks that each is a
-    face in ascending vertex order and sets their bits; the operators build
-    their results from masks. `members`, the faces as a frozenset of
-    simplices, is derived from the mask on first use and kept. Two sets are
-    equal when they belong to the same complex and have the same mask.
+    face in ascending vertex order and sets their bits; one member, the
+    seed of `star([simplex])` on every level-0 call, is the single bit
+    `1 << id`, with no bitmap of the complex's width (`_mask_of`). The
+    operators build their results from masks. `members`, the faces as a
+    frozenset of simplices, is derived from the mask on first use and kept.
+    Two sets are equal when they belong to the same complex and have the
+    same mask.
 
     A set's facts, `_open` and `_closed`, are fixed by the code that makes
     it: a star is open, a closure and a frontier are closed, the full and

@@ -14,7 +14,6 @@ must produce the same Betti numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 
 from .complexes import Simplex, SimplexSet, SimplicialComplex, _ascending
 from .errors import NotClosedError, NotOpenError, PreconditionError
@@ -58,6 +57,9 @@ def _chain_complex(complex: SimplicialComplex, mask: int) -> ChainComplexRep:
     the face index, enters its column with sign (-1)^j when it is a basis
     face; the other facets lie in the excluded subcomplex. The sign
     alternates along each face's facets and restarts at +1 for the next face.
+    A vertex has no facets, so it skips the facet loop, and
+    `ExactMatrix._boundaries` makes every matrix in one call: a star holds
+    about four faces, too few to pay for a call per dimension.
     """
     index = complex._face_index()
     faces, facets = index.faces, index.facets
@@ -70,20 +72,19 @@ def _chain_complex(complex: SimplicialComplex, mask: int) -> ChainComplexRep:
         k = len(s) - 1
         level = levels[k]
         place = len(level)
-        column = {}
-        sign = 1
-        for facet in facets[face_id]:
-            row = get(facet)
-            if row is not None:
-                column[row] = sign
-            sign = -sign
-        if column:  # stored as built; empty columns are left out
-            columns[k][place] = column
+        if k:
+            column = {}
+            sign = 1
+            for facet in facets[face_id]:
+                row = get(facet)
+                if row is not None:
+                    column[row] = sign
+                sign = -sign
+            if column:  # stored as built; empty columns are left out
+                columns[k][place] = column
         position[face_id] = place
         level.append(s)
-    sizes = [len(level) for level in levels]  # boundary k maps size k to size k - 1
-    boundaries = tuple(map(ExactMatrix._stored, [0] + sizes, sizes, columns, repeat(True)))
-    return ChainComplexRep(bases=tuple(map(tuple, levels)), boundaries=boundaries)
+    return ChainComplexRep(bases=tuple(map(tuple, levels)), boundaries=ExactMatrix._boundaries(levels, columns))
 
 
 def relative_chain_complex(complex: SimplicialComplex, excluded) -> ChainComplexRep:

@@ -96,6 +96,30 @@ class ExactMatrix:
         return self
 
     @classmethod
+    def _boundaries(
+        cls, bases: Sequence[Sequence], columns: Sequence[dict[int, dict[int, int]]]
+    ) -> tuple["ExactMatrix", ...]:
+        """Unchecked: the integral boundary matrices of a chain complex, in one loop.
+
+        Matrix k stores columns[k] as built, `int` values in the stored
+        form, with one column per face of bases[k] and one row per face of
+        bases[k - 1] (none for k = 0). It is `_stored` for every dimension
+        at once, without a call per matrix.
+        """
+        out = []
+        rows = 0
+        new = object.__new__
+        for basis, stored in zip(bases, columns):
+            self = new(cls)
+            self.rows = rows
+            self.cols = rows = len(basis)
+            self.columns = stored
+            self._integral = True
+            self._solve_pivots = None
+            out.append(self)
+        return tuple(out)
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
         return cls(rows, cols)
 

@@ -369,6 +369,36 @@ def test_integer_options_are_ascii_digits_only(command, value, tetra_json, capsy
 
 
 @pytest.mark.parametrize(
+    "value, code",
+    [
+        # float() alone reads each of these; the ASCII rule refuses them as malformed.
+        ("٠.٥", 1),
+        ("0_5", 1),
+        ("+0.5", 1),
+        ("nan", 1),
+        ("inf", 1),
+        ("1.", 1),
+        (".5", 1),
+        # In the syntax: the generator's range check decides.
+        ("0.5", 0),
+        ("5e-1", 0),
+        ("1", 0),
+        ("5E1", 2),
+    ],
+)
+def test_diag_prob_is_an_ascii_decimal(value, code, capsys):
+    argv = ["generate", "planar", "--width", "3", "--height", "3", "--seed", "1", "--diag-prob"]
+    got, out, err = run(capsys, *argv, value)
+    assert got == code
+    if code:
+        assert out == ""
+        assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+        assert "Traceback" not in err
+    else:  # the graph of the value float() reads
+        assert out == run(capsys, *argv, repr(float(value)))[1]
+
+
+@pytest.mark.parametrize(
     "command, text, code",
     [
         # A list is not a hashable vertex label.

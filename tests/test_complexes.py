@@ -13,7 +13,9 @@ from localhomology import (
     UnknownSimplexError,
     complex_from_json_dict,
     complex_to_json_dict,
+    erdos_renyi_graph,
     filtration_persistence,
+    flag_complex,
     global_betti,
     local_betti_at,
     local_profile,
@@ -27,6 +29,7 @@ from util import (
     naive_maximal,
     naive_star,
     random_complex,
+    torus_complex,
     vertex_set,
 )
 
@@ -538,10 +541,30 @@ def test_simplex_set_constructor_rejects_non_faces():
     for built in (False, True):
         if built:
             assert len(x.full_set()) == 7
+        # Alone, a member takes the one-bit route; beside a face, the bitmap.
         for member in bad:
-            with pytest.raises(UnknownSimplexError, match="is not a face of the complex"):
-                SimplexSet(x, [member])
+            for members in ([member], [(0, 1), member], [member, (2,)]):
+                with pytest.raises(UnknownSimplexError, match="is not a face of the complex"):
+                    SimplexSet(x, members)
         assert SimplexSet(x, [(0, 1), (2,)]) == x.simplex_set([(2,), (0, 1)])
+
+
+def test_one_face_set_is_its_bit():
+    # A set of one face is the bit 1 << id, with no bitmap of the complex's
+    # width; it equals the bitmap route, here a repeated member.
+    rng = random.Random(30)
+    complexes = [torus_complex(), flag_complex(erdos_renyi_graph(60, 300, 30))]
+    complexes += [
+        random_complex(rng, n_vertices=rng.randint(1, 9), n_maximal=rng.randint(1, 7), max_size=6)
+        for _ in range(20)
+    ]
+    for x in complexes:
+        ids = x._face_index().ids
+        for f in x.all_faces():
+            one = SimplexSet(x, [f])
+            assert one.mask == 1 << ids[f]
+            assert one == x.simplex_set([f, f])
+            assert one.members == {f}
 
 
 def test_ascending_decodes_masks_on_both_routes():

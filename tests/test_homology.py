@@ -157,8 +157,15 @@ def test_excision_basis_is_exactly_the_open_set():
 
 def assert_stored_signs(rep):
     # `==` takes Fraction(1) for 1, so check the stored form itself: only
-    # nonempty columns, rows and columns in range, int signs.
-    for matrix in rep.boundaries:
+    # nonempty columns, rows and columns in range, int signs. `rank` reads
+    # an integral matrix's columns as stored, so each boundary must say it
+    # is integral, hold no solve pivots yet, and span the adjacent bases.
+    assert len(rep.boundaries) == len(rep.bases)
+    for k, matrix in enumerate(rep.boundaries):
+        assert type(matrix) is ExactMatrix
+        assert matrix._integral is True and matrix._solve_pivots is None
+        assert matrix.cols == len(rep.bases[k])
+        assert matrix.rows == (len(rep.bases[k - 1]) if k else 0)
         for j, column in matrix.columns.items():
             assert 0 <= j < matrix.cols and column
             for i, v in column.items():
