@@ -97,9 +97,18 @@ def profile_many(
 ) -> list[LocalProfile]:
     """Profiles for many simplices, in lexicographic simplex order.
 
-    Each classification is read against the complex dimension.
+    Each classification is read against the complex dimension. A seed that
+    is not a face raises `UnknownSimplexError`, also when it cannot be
+    ordered against the others.
     """
-    targets = sorted(complex.all_faces() if simplices is None else simplices)
+    targets = list(complex.all_faces() if simplices is None else simplices)
+    try:
+        targets.sort()
+    except TypeError:
+        # Faces are int tuples, which always order, so some seed is not a
+        # face, and simplex_set raises for the first such.
+        complex.simplex_set(targets)
+        raise
     return [local_profile(complex, s, m_max) for s in targets]
 
 

@@ -16,6 +16,17 @@ faces containing it. A star is then an OR of ANDs of vertex masks and a
 closure an OR of cached per-face closure masks (the indexing of the
 simplex tree, Boissonnat & Maria, Algorithmica 2014, and of Ripser,
 Bauer, JACT 2021).
+
+Complexes, simplex sets and matrices are immutable after construction. The
+only writes made later are these four caches, each with one possible value,
+so concurrent readers are safe and a racing recomputation stores an equal
+value:
+
+- the face index and the per-vertex index, each built in full and then
+  stored once;
+- the face index's closure masks (`down`), which only gain entries;
+- a set's closure, cached by `closure`;
+- a matrix's solve pivots (`linalg`).
 """
 
 from __future__ import annotations
@@ -75,14 +86,12 @@ def intern_labels(
 class SimplicialComplex:
     """Locally finite abstract simplicial complex stored by maximal simplices.
 
-    Instances are immutable after construction. The face index, the one
-    store of the faces, and the per-vertex index populate lazily, each built
-    in full before it is stored and never changed afterwards; the face
-    index's closure-mask cache only gains entries, each with its one
-    possible value. A set's facts (open, closed) are fixed when it is made;
-    the one later write is the closure `closure` caches on its input.
-    Concurrent readers are safe: a racing recomputation produces an
-    identical value.
+    Instances are immutable after construction. The face index is the one
+    store of the faces. The writes made after construction are the
+    module's four caches: the face index and the per-vertex index, each
+    built in full and then stored once; the face index's closure masks
+    (`down`), which only gain entries; a set's closure; a matrix's solve
+    pivots. Each has one possible value, so concurrent readers are safe.
     """
 
     __slots__ = ("maximal", "labels", "dim", "_index", "_containing")
@@ -429,20 +438,25 @@ class SimplexSet:
     seed of `star([simplex])` on every level-0 call, is the single bit
     `1 << id`, with no bitmap of the complex's width (`_mask_of`). The
     operators build their results from masks. `members`, the faces as a
-    frozenset of simplices, is derived from the mask on first use and kept.
-    Two sets are equal when they belong to the same complex and have the
-    same mask.
+    frozenset of simplices, is decoded from the mask on every read. Two
+    sets are equal when they belong to the same complex and have the same
+    mask.
 
     A set's facts, `_open` and `_closed`, are fixed by the code that makes
     it: a star is open, a closure and a frontier are closed, the full and
     empty sets are both, the complement swaps the two, and a set built from
     members or by `|` and `&` is neither (False reads as unknown). Star and
-    closure answer from these facts without touching the masks. The one
-    later write is `_closure`, the closure `closure` caches on a set not
-    made closed; it has one possible value.
+    closure answer from these facts without touching the masks.
+
+    A set holds `complex`, `_mask`, `_open`, `_closed` and `_closure`, and
+    only `_closure` is written after construction: `closure` sets it once,
+    on a set not made closed, to its one possible value. The other writes
+    after construction are the face index and the per-vertex index, each
+    built in full and then stored once; the face index's closure masks
+    (`down`), which only gain entries; and a matrix's solve pivots.
     """
 
-    __slots__ = ("complex", "_members", "_mask", "_open", "_closed", "_closure")
+    __slots__ = ("complex", "_mask", "_open", "_closed", "_closure")
 
     def __init__(self, complex: SimplicialComplex, members: Iterable[Simplex]):
         size = len(complex._face_index().faces)  # refused above MAX_FACES
@@ -451,7 +465,6 @@ class SimplexSet:
         if None in ids:
             raise UnknownSimplexError(f"{members[ids.index(None)]} is not a face of the complex")
         self.complex = complex
-        self._members: frozenset[Simplex] | None = None
         self._mask = _mask_of(ids, size)
         self._open = self._closed = False
         self._closure: SimplexSet | None = None
@@ -463,7 +476,6 @@ class SimplexSet:
         # Unchecked: the mask and the facts come from operators on complex's face index.
         out = cls.__new__(cls)
         out.complex = complex
-        out._members = None
         out._mask = mask
         out._open = open
         out._closed = closed
@@ -472,10 +484,8 @@ class SimplexSet:
 
     @property
     def members(self) -> frozenset[Simplex]:
-        if self._members is None:
-            faces = self.complex._face_index().faces
-            self._members = frozenset(faces[i] for i in _ascending(self._mask))
-        return self._members
+        faces = self.complex._face_index().faces
+        return frozenset(faces[i] for i in _ascending(self._mask))
 
     @property
     def mask(self) -> int:

@@ -102,12 +102,8 @@ class Graph:
         d = len(nbrs)
         if d < 2:
             return Fraction(0)
-        hits = 0
-        nbrs_sorted = sorted(nbrs)
-        for i, u in enumerate(nbrs_sorted):
-            for w in nbrs_sorted[i + 1:]:
-                if w in self.adjacency[u]:
-                    hits += 1
+        # Each edge among the neighbours is seen from both of its ends.
+        hits = sum(len(self.adjacency[u] & nbrs) for u in nbrs) // 2
         return Fraction(hits, d * (d - 1) // 2)
 
     def connected_components(self) -> int:

@@ -153,6 +153,8 @@ def test_seed_entry_points_reject_non_faces():
     entry_points = (
         lambda x, seed: local_profile(x, seed, 0),
         lambda x, seed: profile_many(x, [seed]),
+        lambda x, seed: profile_many(x, [(0,), seed]),
+        lambda x, seed: profile_many(x, [seed, (0,)]),
         lambda x, seed: filtration_persistence(x, seed, 0, 0),
         lambda x, seed: local_betti_at(x, seed),
         lambda x, seed: classify(x, seed, 1),

@@ -17,8 +17,12 @@ from localhomology import (
     filtration_persistence,
     flag_complex,
     global_betti,
+    homology_basis,
+    local_betti,
     local_betti_at,
     local_profile,
+    profile_many,
+    relative_chain_complex,
 )
 
 from util import (
@@ -335,7 +339,7 @@ def test_star_and_is_open_match_naive_coface_scan():
         closed = x.closure(chosen)
         if 2 * len(closed) > len(faces):
             # Nothing to add, so the input comes back as it is, not copied.
-            assert x.closure(closed).members is closed.members
+            assert x.closure(closed) is closed
             counts["dense closed"] += 1
     assert min(counts.values()) >= 50
 
@@ -739,6 +743,108 @@ def test_facts_are_fixed_when_a_set_is_made():
         assert made._open and made._closed
         assert x.star(made) is made and x.closure(made) is made
     assert (star | closure)._open is False and (star & closure)._closed is False
+
+
+def _sets_made_every_way(x, chosen_faces):
+    # One set from each constructor and operator, on members drawn by chosen_faces.
+    a, b = chosen_faces(), chosen_faces()
+    user = SimplexSet(x, a)
+    made = [user, x.simplex_set(b), x.full_set(), x.empty_set()]
+    made += [x.star(a), x.closure(b), x.frontier(a), x.link(b), user.complement()]
+    made += [x.star(b).complement(), made[1] | made[4], made[4] & made[5], made[5] | made[6]]
+    return made
+
+
+def _use_every_way(x, sets, seeds):
+    # Every public reader on every set, twice, so the second round meets the caches.
+    faces = x._face_index().faces
+    for _ in range(2):
+        for s in sets:
+            for other in sets[:3]:
+                _ = (s | other, s & other, s == other)
+            _ = (x.star(s), x.closure(s), x.frontier(s), x.link(s), s.complement())
+            _ = (x.is_open(s), x.is_closed(s), hash(s), repr(s), s.mask, len(s), list(s), s.members)
+            _ = (s.connected_components(), [f in s for f in faces[:20]], [f in x for f in faces[:20]])
+            if x.is_open(s):
+                local_betti(x, s)
+                homology_basis(x, s)
+            if x.is_closed(s):
+                relative_chain_complex(x, s)
+        profile_many(x, seeds, m_max=1)
+        for seed in seeds:
+            filtration_persistence(x, seed, 1, 1)
+
+
+_INDEX_FIELDS = ("faces", "ids", "facets", "starts", "vertex_masks", "full")
+
+
+def _index_only_gained(x, before):
+    # The complex and its face index keep every field, the per-vertex index
+    # is at most built once, and `down` only gains entries, each the oracle's
+    # closure; True when `down` gained any.
+    complex_slots, fields, down = before
+    index = x._face_index()
+    assert all(getattr(x, name) is value for name, value in complex_slots.items() if name != "_containing")
+    assert x._containing is complex_slots["_containing"] or complex_slots["_containing"] is None
+    assert all(getattr(index, name) is value for name, value in fields.items())
+    assert down.keys() <= index.down.keys()
+    for i, mask in index.down.items():
+        if i in down:
+            assert mask is down[i]
+        else:
+            assert mask == sum(1 << index.ids[f] for f in naive_closure([index.faces[i]]))
+    return len(index.down) > len(down)
+
+
+def _index_snapshot(x):
+    index = x._face_index()
+    return (
+        {name: getattr(x, name) for name in SimplicialComplex.__slots__},
+        {name: getattr(index, name) for name in _INDEX_FIELDS},
+        dict(index.down),
+    )
+
+
+def test_writes_after_construction_are_the_listed_caches():
+    # After a set is made, the one slot that may change is _closure, set once
+    # to the closure. While sets are made and while they are read, a complex
+    # and its face index change only as _index_only_gained allows.
+    rng = random.Random(31)
+    complexes = [
+        random_complex(rng, n_vertices=rng.randint(1, 9), n_maximal=rng.randint(1, 7), max_size=6)
+        for _ in range(100)
+    ]
+    complexes.append(flag_complex(erdos_renyi_graph(60, 300, 31)))
+    # Making the sets closes most faces, so `down` gains while they are made
+    # and, mostly, keeps its entries while they are read.
+    counts = {"closure cached": 0, "down gained": 0}
+    for x in complexes:
+        faces = sorted(x.all_faces())
+        if len(faces) > 200:
+            def chosen_faces():
+                return rng.sample(faces, 3)
+        else:
+            density = rng.random()
+            def chosen_faces():
+                return [f for f in faces if rng.random() < density]
+        seeds = rng.sample(faces, min(3, len(faces)))
+
+        before = _index_snapshot(x)
+        sets = _sets_made_every_way(x, chosen_faces)
+        counts["down gained"] += _index_only_gained(x, before)
+
+        before = _index_snapshot(x)
+        set_slots = [{name: getattr(s, name) for name in SimplexSet.__slots__} for s in sets]
+        _use_every_way(x, sets, seeds)
+        _index_only_gained(x, before)
+        for s, slots in zip(sets, set_slots):
+            was, now = slots.pop("_closure"), s._closure
+            assert all(getattr(s, name) is value for name, value in slots.items())
+            if now is not was:
+                assert was is None and now._closed
+                assert now.members == naive_closure(s.members)
+                counts["closure cached"] += 1
+    assert min(counts.values()) >= 50
 
 
 def test_set_operators_refuse_foreign_operands():

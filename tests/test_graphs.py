@@ -21,7 +21,7 @@ from localhomology import (
 )
 from localhomology.graphs import parse_label
 
-from util import open_neighborhood, oracle_flag_complex, oracle_maximal_cliques
+from util import open_neighborhood, oracle_flag_complex, oracle_maximal_cliques, random_connected_graph
 
 
 @pytest.fixture
@@ -100,6 +100,25 @@ def test_clustering_values(k4):
     assert path.clustering_coefficient(0) == 0  # degree below two
     g5 = Graph.from_edge_list([(0, 1), (0, 2), (0, 3), (1, 2)])
     assert g5.clustering_coefficient(0) == Fraction(1, 3)
+
+
+def test_clustering_counts_the_triangles_networkx_counts():
+    # clustering(v) * C(deg v, 2) is the number of triangles at v.
+    rng = random.Random(99)
+    graphs = [karate_graph()]
+    for _ in range(50):
+        n = rng.randint(2, 14)
+        graphs.append(random_connected_graph(rng, n, extra_edges=rng.randint(0, 2 * n)))
+    seen = {"no triangle": 0, "triangles": 0}
+    for g in graphs:
+        nxg = nx.Graph(list(g.edges))
+        nxg.add_nodes_from(range(g.n))
+        for v in range(g.n):
+            d = g.degree(v)
+            triangles = nx.triangles(nxg, v)
+            assert g.clustering_coefficient(v) * (d * (d - 1) // 2) == triangles
+            seen["triangles" if triangles else "no triangle"] += 1
+    assert min(seen.values()) >= 100
 
 
 def test_connected_components():
