@@ -38,9 +38,13 @@ class NeighborhoodFiltration:
         return len(self.levels)
 
 
-def neighborhood_filtration(complex: SimplicialComplex, seed, m_max: int) -> NeighborhoodFiltration:
-    if type(m_max) is not int or m_max < 0:
+def _require_level(m_max) -> None:
+    if type(m_max) is not int or m_max < 0:  # type(True) is bool
         raise ValueError(f"neighborhood level must be non-negative and an int, not {m_max!r}")
+
+
+def neighborhood_filtration(complex: SimplicialComplex, seed, m_max: int) -> NeighborhoodFiltration:
+    _require_level(m_max)
     levels = [complex.star(seed)]
     for _ in range(m_max):
         levels.append(complex.star(complex.closure(levels[-1])))
@@ -99,8 +103,10 @@ def profile_many(
 
     Each classification is read against the complex dimension. A seed that
     is not a face raises `UnknownSimplexError`, also when it cannot be
-    ordered against the others.
+    ordered against the others. A level `m_max` that is not a non-negative
+    `int` raises `ValueError`, also when there are no seeds.
     """
+    _require_level(m_max)
     targets = list(complex.all_faces() if simplices is None else simplices)
     try:
         targets.sort()

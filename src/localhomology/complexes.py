@@ -1,29 +1,28 @@
 """Abstract simplicial complexes and their Alexandrov-topology operators.
 
 A complex is stored by its maximal simplices over interned integer vertex
-ids; every other face is enumerated once, on first use, into the face index,
-which a complex that may have more than `MAX_FACES` faces refuses up front.
-The integer order of the interned ids is the fixed total vertex order used
-everywhere for orientation signs, so results are reproducible across runs.
+ids. The integer order of the interned ids is the fixed total vertex order
+used everywhere for orientation signs, so results are reproducible across
+runs.
 
 Open sets in the Alexandrov topology are unions of stars; closed sets are
 exactly the subcomplexes. The operators star, closure, link and frontier
 all act on arbitrary subsets of faces and return `SimplexSet` values bound
-to their host complex. They work on a face index built once per complex:
-each face gets an id, by dimension and then lexicographically, a set of
-faces is an int mask over those ids, and each vertex has the mask of the
-faces containing it. A star is then an OR of ANDs of vertex masks and a
+to their host complex. They work on the face index, `_FaceIndex`, which
+enumerates every face once, on first use, and which a complex that may
+have more than `MAX_FACES` faces refuses up front. A set of faces is an
+int mask over its face ids, a star an OR of ANDs of vertex masks, and a
 closure an OR of cached per-face closure masks (the indexing of the
 simplex tree, Boissonnat & Maria, Algorithmica 2014, and of Ripser,
-Bauer, JACT 2021).
+Bauer, JACT 2021). `_mask_of` encodes a mask and `_ascending` decodes one.
 
 Complexes, simplex sets and matrices are immutable after construction. The
 only writes made later are these four caches, each with one possible value,
 so concurrent readers are safe and a racing recomputation stores an equal
 value:
 
-- the face index and the per-vertex index, each built in full and then
-  stored once;
+- the face index, and the per-vertex index of maximal simplices that `in`
+  reads, each built in full and then stored once;
 - the face index's closure masks (`down`), which only gain entries;
 - a set's closure, cached by `closure`;
 - a matrix's solve pivots (`linalg`).
@@ -86,12 +85,8 @@ def intern_labels(
 class SimplicialComplex:
     """Locally finite abstract simplicial complex stored by maximal simplices.
 
-    Instances are immutable after construction. The face index is the one
-    store of the faces. The writes made after construction are the
-    module's four caches: the face index and the per-vertex index, each
-    built in full and then stored once; the face index's closure masks
-    (`down`), which only gain entries; a set's closure; a matrix's solve
-    pivots. Each has one possible value, so concurrent readers are safe.
+    Instances are immutable after construction and safe for concurrent
+    reads; the module docstring lists the caches written later.
     """
 
     __slots__ = ("maximal", "labels", "dim", "_index", "_containing")
@@ -159,8 +154,15 @@ class SimplicialComplex:
         return len(self._face_index().faces)
 
     def __contains__(self, simplex) -> bool:
-        # Only the maximal simplices containing the rarest vertex can contain
-        # the simplex; its faces are never enumerated.
+        """Whether the vertex set of a tuple of vertex ids, in any order, is a face.
+
+        Only the maximal simplices containing the rarest vertex are tested
+        and the face index is never built, so `in` works on a complex above
+        `MAX_FACES`. The order is not checked: `(1, 0) in x` holds when
+        `(0, 1) in x` does, while every call that takes a face wants the
+        ascending `(0, 1)`. Anything but a nonempty tuple of hashable
+        vertex ids is in no complex.
+        """
         if not isinstance(simplex, tuple) or not simplex:
             return False
         if self._containing is None:
@@ -317,12 +319,14 @@ class _FaceIndex:
 
     Building it is refused up front when the complex may have more than
     `MAX_FACES` faces. Ids run by dimension, then lexicographically, so the
-    faces of dimension k hold the ids from starts[k] up to starts[k + 1]. A
-    set of faces is an int mask with bit i standing for face i. facets[i]
-    holds the ids of face i's facets, the j-th dropping vertex j: the one
-    boundary table. vertex_masks[v] marks the faces containing vertex v, so
-    a face's star is the AND of its vertices' masks. `down` caches the
-    closure mask of each face some closure reached.
+    faces of dimension k hold the ids from starts[k] up to starts[k + 1],
+    and every face's id is above its facets' ids. A set of faces is an int
+    mask with bit i standing for face i. facets[i] holds the ids of face
+    i's facets, the j-th dropping vertex j: the one boundary table, and the
+    one place a face is cut into its facets. vertex_masks[v] marks the
+    faces containing vertex v, so a face's star is the AND of its vertices'
+    masks. `down` caches the closure mask of each face some closure
+    reached: the face's bit OR its facets' closure masks.
     """
 
     __slots__ = ("faces", "ids", "facets", "starts", "vertex_masks", "full", "down")
@@ -434,9 +438,7 @@ class SimplexSet:
 
     The faces are held as `mask`, an int over the complex's face ids, fixed
     at construction. The constructor takes members, checks that each is a
-    face in ascending vertex order and sets their bits; one member, the
-    seed of `star([simplex])` on every level-0 call, is the single bit
-    `1 << id`, with no bitmap of the complex's width (`_mask_of`). The
+    face in ascending vertex order and sets their bits (`_mask_of`). The
     operators build their results from masks. `members`, the faces as a
     frozenset of simplices, is decoded from the mask on every read. Two
     sets are equal when they belong to the same complex and have the same
@@ -445,15 +447,14 @@ class SimplexSet:
     A set's facts, `_open` and `_closed`, are fixed by the code that makes
     it: a star is open, a closure and a frontier are closed, the full and
     empty sets are both, the complement swaps the two, and a set built from
-    members or by `|` and `&` is neither (False reads as unknown). Star and
-    closure answer from these facts without touching the masks.
+    members or by `|` and `&` is neither (False reads as unknown). No
+    operator writes a fact on a set it is given. Star and closure answer
+    from these facts without touching the masks.
 
     A set holds `complex`, `_mask`, `_open`, `_closed` and `_closure`, and
     only `_closure` is written after construction: `closure` sets it once,
-    on a set not made closed, to its one possible value. The other writes
-    after construction are the face index and the per-vertex index, each
-    built in full and then stored once; the face index's closure masks
-    (`down`), which only gain entries; and a matrix's solve pivots.
+    on a set not made closed. It is one of the caches the module docstring
+    lists.
     """
 
     __slots__ = ("complex", "_mask", "_open", "_closed", "_closure")

@@ -138,7 +138,8 @@ def maximal_cliques(graph: Graph) -> list[tuple[int, ...]]:
     TCS 2006). No vertex order is imposed: the order of traversal never
     changes the set of cliques, and the list is sorted at the end.
 
-    Isolated vertices yield singleton cliques. The result is sorted
+    Isolated vertices yield singleton cliques, and a graph with no vertex
+    has no clique. The result is sorted
     lexicographically, each clique an ascending vertex tuple.
     """
     adj = graph.adjacency
@@ -223,12 +224,26 @@ def format_edge_list(graph: Graph) -> str:
     """Render a graph in the edge-list format, with a vertex count header.
 
     A labeled graph is written as bare label pairs, which cannot carry an
-    isolated vertex, so one raises `PreconditionError`.
+    isolated vertex, so one raises `PreconditionError`. So does a label
+    that `parse_edge_list` would not read back as itself: one whose text
+    is empty, holds whitespace or `#`, starts with `n=`, or reads back by
+    `parse_label` as another value or type (`"1"`, `1.5`, `True`).
     """
     if graph.labels != tuple(range(graph.n)):
         for v, neighbors in enumerate(graph.adjacency):
+            label = graph.labels[v]
             if not neighbors:
-                raise PreconditionError(f"isolated vertex {graph.labels[v]!r} needs an n= header and integer ids")
+                raise PreconditionError(f"isolated vertex {label!r} needs an n= header and integer ids")
+            text = str(label)
+            back = parse_label(text)
+            if (
+                text.split() != [text]  # empty, or holding whitespace
+                or "#" in text
+                or text.startswith("n=")
+                or type(back) is not type(label)
+                or back != label
+            ):
+                raise PreconditionError(f"label {label!r} would not read back from an edge list")
         lines = [f"{graph.labels[u]} {graph.labels[v]}" for u, v in graph.edges]
         return "\n".join(lines) + "\n"
     lines = [f"n={graph.n}"]

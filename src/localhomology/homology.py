@@ -2,18 +2,20 @@
 
 The relative chain space of a pair (X, Y) with Y a subcomplex has one basis
 element per face of X outside Y; the boundary of a face keeps only those
-facets that also lie outside Y. Each chain complex is built in one pass over
-its basis, given as a face mask, reading each face's facet ids from the face
-index. Local homology at an open set U is computed by excision as the
-relative homology of (cl U, fr U), whose chain complex has exactly the faces
-of U as its basis: the mask of cl U with the bits of fr U cleared. A direct
-route on all of X relative to the complement of U is kept as an oracle; both
-must produce the same Betti numbers.
+facets that also lie outside Y, since the others lie in Y. `_chain_complex`
+builds every chain complex here from its basis, handed over as a mask over
+the face index. Local homology at an open set U is computed by excision as
+the relative homology of (cl U, fr U), whose chain complex has exactly the
+faces of U as its basis: the mask of cl U with the bits of fr U cleared, so
+no set is built only to be read. A direct route on all of X relative to the
+complement of U is kept as an oracle; both must produce the same Betti
+numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complexes import Simplex, SimplexSet, SimplicialComplex, _ascending
 from .errors import NotClosedError, NotOpenError, PreconditionError
@@ -22,8 +24,7 @@ from .linalg import ExactMatrix, IncrementalRank, kernel_basis, rank, solve_in_i
 BettiVector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ChainComplexRep:
+class ChainComplexRep(NamedTuple):
     """Ordered bases and signed boundary matrices of a relative chain complex.
 
     bases[k] lists the k-dimensional basis faces in lexicographic order;
@@ -48,16 +49,14 @@ class ChainComplexRep:
 def _chain_complex(complex: SimplicialComplex, mask: int) -> ChainComplexRep:
     """Chain complex on the basis faces that a mask over the face index marks, in one pass.
 
-    Callers hand over the mask they computed (X minus Y, or cl U minus
-    fr U), so no `SimplexSet` is built only to be read. Face ids ascend by
-    dimension, then lexicographically, so the mask read lowest id first (by
-    `_ascending`, which picks its decode from the mask's number of set bits)
-    lists each dimension's basis in order and every facet before the faces
-    that have it. Facet j of a face, read by id from
-    the face index, enters its column with sign (-1)^j when it is a basis
-    face; the other facets lie in the excluded subcomplex. The sign
-    alternates along each face's facets and restarts at +1 for the next face.
-    A vertex has no facets, so it skips the facet loop, and
+    The mask is read lowest id first by `_ascending`, which by the face
+    index's id order lists each dimension's basis in order and every facet
+    before the faces that have it. So each face's signed column is built
+    where the face is read, from its facet ids and one {face id: place in
+    its dimension} dict, without building or hashing a vertex tuple. Facet
+    j of a face enters its column with sign (-1)^j when it is a basis face;
+    the sign alternates along each face's facets and restarts at +1 for the
+    next face. A vertex has no facets, so it skips the facet loop, and
     `ExactMatrix._boundaries` makes every matrix in one call: a star holds
     about four faces, too few to pay for a call per dimension.
     """

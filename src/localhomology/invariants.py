@@ -2,16 +2,28 @@
 
 Conventions are fixed for determinism: closeness is (n-1) over the distance
 sum, betweenness counts each unordered endpoint pair once and excludes the
-endpoints themselves, and random-walk betweenness follows the current-flow
-formulation (unit current injected per source-sink pair, endpoints counted
-with throughput one, averaged over all pairs). Pearson correlation is
+endpoints themselves, and random-walk betweenness is the current-flow
+betweenness that `random_walk_betweenness` defines. Pearson correlation is
 invariant under positive affine rescaling, so these choices do not affect
 any correlation table.
 
-Betweenness accumulates Brandes' dependencies as integers (Brandes, "A faster
-algorithm for betweenness centrality", J. Math. Sociol. 2001); random-walk
-betweenness sums edge currents over all pairs from sorted potentials (Brandes &
-Fleischer, "Centrality measures based on current flow", STACS 2005).
+Shortest-path betweenness, vertex and edge, is Brandes' dependency
+accumulation kept exact in integers (Brandes, "A faster algorithm for
+betweenness centrality", J. Math. Sociol. 2001). Per source, with P the lcm
+of the shortest-path counts sigma, `_brandes_pass` sums
+c[w] = P / sigma[w] + acc[w] into acc[v] for each predecessor v of w, so
+P * delta[v] = sigma[v] * acc[v], and edge (v, w) carries
+sigma[v] * c[w] / P. The totals are kept over one common denominator D,
+the lcm of every source's P, so a source adds its terms times D / P
+(`_rescale`). Each score is one exact rational, a float only on output.
+
+Random-walk betweenness takes every pair's edge currents from one grounded
+Laplacian inverse C (Brandes & Fleischer, "Centrality measures based on
+current flow", STACS 2005). For the pair (s, t), edge (u, v) carries
+b_s - b_t with b = C[u] - C[v], so its absolute current summed over all
+pairs is b sorted ascending, dotted with the weights 2i - n + 1: O(m n log n)
+in all. At a source or sink the potential is extremal and that sum counts
+1/2 where the convention counts 1, so each vertex also adds (n - 1)/2.
 """
 
 from __future__ import annotations
@@ -73,11 +85,8 @@ def closeness_centrality(graph: Graph) -> VertexScores:
 
 
 def _brandes_pass(graph: Graph, source: int):
-    """BFS order, path counts sigma, predecessors and integer dependencies from one source.
-
-    With P the lcm of the nonzero sigma, acc[v] = P * delta[v] / sigma[v] sums c[w] =
-    P // sigma[w] + acc[w] over the successors w of v; edge (v, w) carries sigma[v] * c[w] / P.
-    """
+    """BFS order, path counts sigma, predecessors, the scale P and the integer
+    dependencies acc from one source, as the module docstring defines them."""
     sigma = [0] * graph.n
     dist = [-1] * graph.n
     preds: list[list[int]] = [[] for _ in range(graph.n)]
@@ -107,9 +116,8 @@ def _brandes_pass(graph: Graph, source: int):
 def betweenness_vertex(graph: Graph) -> VertexScores:
     """Brandes shortest-path betweenness, endpoints excluded, unordered pairs.
 
-    Dependencies accumulate as integers over one common denominator D, the
-    lcm of every source's scale P: a source adds sigma * acc * (D // P).
-    Each score is one exact rational, a float only on output.
+    Each score is exact until it is output as a float; the module docstring
+    gives the integer accumulation.
     """
     totals = [0] * graph.n
     common = 1
@@ -153,10 +161,9 @@ def random_walk_betweenness(graph: Graph) -> VertexScores:
     For every source-sink pair a unit current is injected and extracted; the
     throughput of an interior vertex is half the absolute current over its
     incident edges, endpoints count as one, and scores are averaged over all
-    unordered pairs. Edge (u, v) carries b_s - b_t for the pair (s, t), with
-    b = C[u] - C[v] from the grounded inverse C, so its absolute current over
-    all pairs is sorted b dotted with 2i - n + 1. At an endpoint the potential
-    is extremal and this counts 1/2, so every vertex also gets (n - 1)/2.
+    unordered pairs. The module docstring gives the computation. A graph
+    with fewer than two vertices raises `PreconditionError`, and a
+    disconnected one `DisconnectedGraphError`.
     """
     n = graph.n
     if n <= 1:

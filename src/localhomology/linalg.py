@@ -4,30 +4,35 @@ All Betti-number computations here reduce to ranks, kernels and solves on
 sparse signed incidence matrices. Vectors, and the columns an `ExactMatrix`
 stores, have one form: {index: value} dicts of nonzero `int` or `Fraction`
 values, to which every input is brought by the rule of `_vector` (boundary
-matrices are built in it). Kernels, solves and the ranks of all but
-graph-shaped matrices share one exact elimination loop, `_reduce`: the
-columns are reduced left to right by their lowest nonzero row, the standard
-boundary-matrix reduction, done fraction-free so every entry stays a Python
-`int`. A matrix records at construction whether it is integral, every stored
-value an `int` (every boundary matrix is); its columns are then read as
-stored, while a column of any other matrix is first scaled to integers by
-the lcm of its denominators. For kernels and solves each column also
-carries tags that record the column operations applied to it (R = D V); a
-column whose rows all cancel leaves a kernel vector, or a solution, in its
-tags. No tolerance tuning is ever needed.
+matrices are built in it).
 
-`rank` and `kernel_basis` each have a second route, chosen from the
-input's shape. A graph-shaped matrix, each of whose columns is x·e_a or
-x·(e_a - e_b), is the incidence matrix of a graph up to column scaling, and
-its rank is the size of a spanning forest, which a union-find scan counts
-without arithmetic (`_forest_rank`). Every ∂₁ is such a matrix, and so is
-the ∂₂ of a vertex star, whose columns lose the edge opposite the vertex.
-When every x is an `int` ±1, as in every ∂₀ and ∂₁, each elimination step
-has a unit pivot, so it only moves a column's top endpoint along a stored
-pivot edge; `_forest_kernel` walks those edges and returns exactly the
-vectors elimination would, the fundamental cycles of the forest. Solves and
-`IncrementalRank` keep a matrix's pivots across calls and meet columns of
-every shape, so they always eliminate.
+Kernels, solves and the ranks of all but graph-shaped matrices share one
+exact elimination loop, `_reduce`: the columns are reduced left to right by
+their lowest nonzero row, the standard boundary-matrix reduction, done
+fraction-free so every entry stays a Python `int`. A matrix records at
+construction whether it is integral, every stored value an `int` (every
+boundary matrix is); its columns are then read as stored, while a column of
+any other matrix is first scaled to integers by the lcm of its denominators
+(`_scaled`). For kernels and solves each column also carries tags that
+record the column operations applied to it (R = D V); a column whose rows
+all cancel leaves a kernel vector, or a solution, in its tags. There is no
+float, modular or approximate path, so no tolerance is ever tuned, and a
+rank is the rank over the rationals even where torsion would change a rank
+mod p.
+
+`rank` and `kernel_basis` each have a second route, chosen from the columns
+on every call, never by an option. A graph-shaped matrix, each of whose
+columns is x·e_a or x·(e_a - e_b), is the incidence matrix of a graph up to
+column scaling, and its rank is the size of a spanning forest, which a
+union-find scan counts without arithmetic (`_forest_rank`); a two-entry
+column whose entries do not sum to zero, such as e_a + e_b, sends the matrix
+to elimination. Every ∂₁ is graph-shaped, and so is the ∂₂ of a vertex
+star, whose columns lose the edge opposite the vertex. When every x is an
+`int` ±1, as in every ∂₀ and ∂₁, `_forest_kernel` walks a forest instead of
+eliminating and returns exactly the vectors elimination would, the
+fundamental cycles of the forest. Solves and `IncrementalRank` keep a
+matrix's pivots across calls and meet columns of every shape, so they
+always eliminate.
 
 A matrix is reduced for solving once: the first `solve_in_image` on an
 `ExactMatrix` keeps its tagged pivots on the matrix, and every later solve
@@ -51,13 +56,11 @@ class ExactMatrix:
     column to `_vector`'s rule and share one store. Values given as int stay
     int, others become Fraction, and since Fraction(1) == 1 with equal
     hashes, equality and hashing ignore which. The same pass records whether
-    the matrix is integral, every stored value an `int`; the reductions read
-    an integral matrix's columns as stored, and `rank`'s pivots may be those
-    column dicts themselves. `entries`, the (row, col) -> value map, is built
-    from the columns on each access. Immutable once constructed: nothing
-    here or in the reductions writes to the stored columns, and the tagged
-    pivots that `solve_in_image` builds on first use are a cache of a value
-    determined by them, so concurrent readers are safe.
+    the matrix is integral, every stored value an `int`. `entries`, the
+    (row, col) -> value map, is built from the columns on each access.
+    Immutable once constructed: nothing writes to the stored columns, which
+    the reductions only read, and the one value a matrix gains later is its
+    solve pivots (see the module docstring), so concurrent readers are safe.
     """
 
     __slots__ = ("rows", "cols", "columns", "_integral", "_solve_pivots")
@@ -228,8 +231,7 @@ def _scaled(column: Mapping[int, Fraction | int], tag: int | None = None) -> dic
     """The column times the lcm of its entries' denominators, as a new dict.
 
     With a tag key, the column also records that scale at the tag, so a
-    tagged column always holds the coefficients that produce it. Integral
-    columns skip this: they are reduced as they are, at scale 1.
+    tagged column always holds the coefficients that produce it.
     """
     scale = lcm(*(v.denominator for v in column.values()))
     out = {i: v.numerator * (scale // v.denominator) for i, v in column.items()}
@@ -338,18 +340,17 @@ def rank(matrix: ExactMatrix) -> int:
     """Rank over the rationals.
 
     A graph-shaped matrix, each of whose columns is x·e_a or x·(e_a - e_b)
-    with x a nonzero rational (∂₁ of every chain complex here, and ∂₂ of
-    a vertex star), is ranked by `_forest_rank` as the size of a spanning
-    forest of its graph, whose nodes are the rows and a ground node joined
-    to each row a of an x·e_a column. Scaling a column keeps the rank, so
-    take every x = 1 and add a ground row holding -1 in each x·e_a column.
-    That gives the signed incidence matrix of the graph, whose rank is its
-    node count less its component count: the edges of a spanning forest are
-    independent (a leaf's row meets only one of them), and every other edge
-    closes a cycle whose signed sum is zero. In it the rows of each component
-    sum to zero, so the ground row is minus the sum of the other rows of
-    its component, and deleting it keeps the rank (Kirchhoff's grounded
-    incidence matrix; Oxley, *Matroid Theory*, §5.1).
+    with x a nonzero rational, is ranked by `_forest_rank` as the size of a
+    spanning forest of its graph, whose nodes are the rows and a ground node
+    joined to each row a of an x·e_a column. Scaling a column keeps the
+    rank, so take every x = 1 and add a ground row holding -1 in each x·e_a
+    column. That gives the signed incidence matrix of the graph, whose rank
+    is its node count less its component count: the edges of a spanning
+    forest are independent (a leaf's row meets only one of them), and every
+    other edge closes a cycle whose signed sum is zero. In it the rows of
+    each component sum to zero, so the ground row is minus the sum of the
+    other rows of its component, and deleting it keeps the rank
+    (Kirchhoff's grounded incidence matrix; Oxley, *Matroid Theory*, §5.1).
 
     Every other matrix is reduced by fraction-free column reduction over the
     integers. Scaling a column by a nonzero integer keeps the rank, and so
@@ -444,10 +445,9 @@ def kernel_basis(matrix: ExactMatrix) -> list[dict[int, int]]:
 
     Each is a {column: value} vector. That of column j is nonzero at j,
     positive there, and otherwise supported on pivot columns left of j, so
-    the vectors are independent. These conditions fix each vector, so both
-    routes return the same ones: a matrix whose columns are all `int`
-    ±e_a or ±(e_a - e_b) (every ∂₀ and ∂₁) takes `_forest_kernel`'s walk,
-    and every other matrix tagged elimination.
+    the vectors are independent. These conditions fix each vector, so the
+    two routes of the module docstring, `_forest_kernel`'s walk and tagged
+    elimination, return the same ones.
     """
     forest = _forest_kernel(matrix)
     if forest is not None:
@@ -464,10 +464,9 @@ def solve_in_image(matrix: ExactMatrix, target: Mapping[int, object]) -> Optiona
 
     target is a {row: value} vector; x, a {column: value} vector, is
     supported on the pivot columns, those independent of the columns left
-    of them, so the returned solution is deterministic. The matrix's columns
-    are reduced on the first solve and the pivots kept on it; the target is
-    reduced against them but never added, so every solve on the same matrix
-    sees the same pivots.
+    of them, so the returned solution is deterministic. The pivots are
+    built on the first solve and kept on the matrix (see the module
+    docstring).
     """
     n = matrix.cols
     col, integral = _vector(target, matrix.rows)

@@ -28,7 +28,6 @@ import time
 from fractions import Fraction
 
 from localhomology import (
-    ExactMatrix,
     SimplicialComplex,
     correlation_table,
     erdos_renyi_graph,
@@ -51,6 +50,7 @@ from util import (
     cone_over,
     graph_as_one_complex,
     hstack,
+    negate,
     open_neighborhood,
     random_complex,
     random_connected_complex,
@@ -58,6 +58,7 @@ from util import (
     random_open_set,
     tetrahedron_boundary,
     triple_triangle,
+    vstack,
 )
 
 
@@ -273,18 +274,6 @@ def test_criterion_7_synthetic_sign_law(acceptance):
     assert ba_hits >= 18, ba_hits
 
 
-def _stack(blocks):
-    total_rows = sum(b.rows for b in blocks)
-    cols = blocks[0].cols
-    entries = {}
-    offset = 0
-    for block in blocks:
-        for (i, j), value in block.entries.items():
-            entries[(i + offset, j)] = value
-        offset += block.rows
-    return ExactMatrix(total_rows, cols, entries)
-
-
 def _uniqueness_sides(x, u, v):
     """Both sides of the Mayer-Vietoris uniqueness law, at every degree.
 
@@ -297,14 +286,12 @@ def _uniqueness_sides(x, u, v):
     union, meet = u | v, u & v
     sides = []
     for k in range(x.dim + 1):
-        joint = _stack(
-            [induced_map_matrix(x, union, u, k), induced_map_matrix(x, union, v, k)]
-        )
+        joint = vstack(induced_map_matrix(x, union, u, k), induced_map_matrix(x, union, v, k))
         kernel = local_betti(x, union)[k] - rank(joint)
         connecting = 0
         if k + 1 <= x.dim:
             difference = hstack(
-                induced_map_matrix(x, u, meet, k + 1), _negate(induced_map_matrix(x, v, meet, k + 1))
+                induced_map_matrix(x, u, meet, k + 1), negate(induced_map_matrix(x, v, meet, k + 1))
             )
             connecting = local_betti(x, meet)[k + 1] - rank(difference)
         sides.append((k, kernel, connecting))
@@ -347,11 +334,9 @@ def test_criterion_8_homology_sheaf_suite(acceptance):
             bu, bv = local_betti(x, u)[k], local_betti(x, v)[k]
             if bu + bv == 0:
                 continue
-            joint = _stack(
-                [induced_map_matrix(x, union, u, k), induced_map_matrix(x, union, v, k)]
-            )
+            joint = vstack(induced_map_matrix(x, union, u, k), induced_map_matrix(x, union, v, k))
             difference = hstack(
-                induced_map_matrix(x, u, meet, k), _negate(induced_map_matrix(x, v, meet, k))
+                induced_map_matrix(x, u, meet, k), negate(induced_map_matrix(x, v, meet, k))
             )
             if not (difference @ joint).is_zero():
                 mv_failures += 1
@@ -403,10 +388,6 @@ def test_criterion_8_homology_sheaf_suite(acceptance):
         f"expected (k, kernel, connecting)): {fixed_misses}"
     )
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
-
-
-def _negate(matrix):
-    return ExactMatrix(matrix.rows, matrix.cols, {p: -v for p, v in matrix.entries.items()})
 
 
 def test_criterion_9_star_of_closed_vertex_fixture(acceptance):

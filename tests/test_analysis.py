@@ -97,9 +97,10 @@ def test_negative_level_rejected(five_path):
         lambda x: neighborhood_filtration(x, [(2,)], -5),
         lambda x: local_profile(x, (2,), -2),
         lambda x: profile_many(x, [(2,)], m_max=-1),
+        lambda x: profile_many(x, [], m_max=-1),
         lambda x: filtration_persistence(x, (2,), 1, -1),
     ],
-    ids=["neighborhood_filtration", "local_profile", "profile_many", "filtration_persistence"],
+    ids=["neighborhood_filtration", "local_profile", "profile_many", "profile_many_no_seeds", "filtration_persistence"],
 )
 def test_negative_level_rejected_by_every_entry_point(five_path, call):
     with pytest.raises(ValueError):
@@ -115,11 +116,17 @@ def test_negative_level_rejected_by_every_entry_point(five_path, call):
         lambda x: local_profile(x, (0,), True),
         lambda x: filtration_persistence(x, (0,), True, 1),
         lambda x: filtration_persistence(x, (0,), 1, 0.5),
+        lambda x: profile_many(x, [], m_max="a"),
+        lambda x: profile_many(x, [], m_max=True),
     ],
-    ids=["filtration_bool", "filtration_half", "neighborhood_float", "profile_bool", "persistence_k_bool", "persistence_m_half"],
+    ids=[
+        "filtration_bool", "filtration_half", "neighborhood_float", "profile_bool", "persistence_k_bool",
+        "persistence_m_half", "profile_many_no_seeds_str", "profile_many_no_seeds_bool",
+    ],
 )
 def test_level_or_degree_that_is_not_an_int_refused(call):
     # True once built two levels and 1.5 raised a bare TypeError from range.
+    # profile_many with no seeds once returned [] for any level.
     x = SimplicialComplex.from_maximal([[0, 1, 2], [2, 3]])
     with pytest.raises(ValueError, match="must be non-negative"):
         call(x)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -301,6 +302,25 @@ def test_labeled_edge_list_refuses_isolated_vertices():
     path = star.induced_subgraph([0, 2, 3])
     assert format_edge_list(path) == "0 2\n0 3\n"
     assert parse_edge_list(format_edge_list(path)).labels == path.labels
+
+
+def test_labeled_edge_list_round_trips_its_labels():
+    graph = Graph.from_edge_list([("a", -3), (-3, "Zoë")])
+    text = format_edge_list(graph)
+    assert text == "-3 a\n-3 Zoë\n"
+    back = parse_edge_list(text)
+    assert back.labels == graph.labels
+    assert [type(label) for label in back.labels] == [int, str, str]
+    assert back.edges == graph.edges
+
+
+@pytest.mark.parametrize("label", ["a b", "x#y", "", "1", 1.5, True, "n=2"])
+def test_labeled_edge_list_refuses_a_label_it_cannot_read_back(label):
+    # Each would be split, cut at the comment, dropped, read as another
+    # value or type, or taken for the vertex-count header.
+    graph = Graph.from_edge_list([(label, "z")])
+    with pytest.raises(PreconditionError, match=f"label {re.escape(repr(label))} would not read back"):
+        format_edge_list(graph)
 
 
 def test_bool_vertex_ids_refused_when_count_declared():

@@ -40,6 +40,7 @@ from util import (
     graph_as_one_complex,
     hstack,
     naive_closure,
+    negate,
     oracle_chain_complex,
     projective_plane,
     random_complex,
@@ -48,6 +49,7 @@ from util import (
     tetrahedron_boundary,
     to_dense,
     triple_triangle,
+    vstack,
 )
 
 
@@ -99,6 +101,23 @@ def test_boundary_composition_is_zero_on_random_pairs():
         closed = x.closure(random_open_set(rng, x).complement())
         rep = relative_chain_complex(x, closed)
         rep.validate()
+
+
+def test_chain_complex_rep_is_an_immutable_value():
+    # A segment, built by keyword and read back by attribute.
+    rep = relative_chain_complex(SimplicialComplex.from_maximal([[0, 1]]), [])
+    assert rep.bases == (((0,), (1,)), ((0, 1),))
+    assert rep.boundaries == (ExactMatrix(0, 2), ExactMatrix(2, 1, {(0, 0): -1, (1, 0): 1}))
+    same = ChainComplexRep(bases=rep.bases, boundaries=rep.boundaries)
+    assert same == rep and hash(same) == hash(rep)
+    assert same != ChainComplexRep(bases=rep.bases[:1], boundaries=rep.boundaries[:1])
+    with pytest.raises(AttributeError):
+        rep.bases = ()
+    assert repr(rep) == f"ChainComplexRep(bases={rep.bases!r}, boundaries={rep.boundaries!r})"
+    # It is the pair (bases, boundaries): equal to that tuple, and unpacked into it.
+    assert rep == (rep.bases, rep.boundaries)
+    unpacked_bases, unpacked_boundaries = rep
+    assert (unpacked_bases, unpacked_boundaries) == (rep.bases, rep.boundaries)
 
 
 def test_chain_complexes_equal_the_definition():
@@ -517,10 +536,7 @@ def test_joint_restriction_to_member_stars_can_lose_classes():
     assert local_betti(edge, u)[0] == 1
     for simplex in sorted(u.members):
         assert local_betti(edge, edge.star([simplex]))[0] == 0
-    stacked = None
-    for simplex in sorted(u.members):
-        block = induced_map_matrix(edge, u, edge.star([simplex]), 0)
-        stacked = block if stacked is None else _vstack(stacked, block)
+    stacked = vstack(*(induced_map_matrix(edge, u, edge.star([simplex]), 0) for simplex in sorted(u.members)))
     assert rank(stacked) == 0 < local_betti(edge, u)[0]
 
     # A two-dimensional witness with the same failure in degree one.
@@ -528,14 +544,6 @@ def test_joint_restriction_to_member_stars_can_lose_classes():
     u = x.star([x.simplex_with_labels([0, 1]), x.simplex_with_labels([0, 4])])
     assert local_betti(x, u)[1] == 1
     assert all(local_betti(x, x.star([s]))[1] == 0 for s in sorted(u.members))
-
-
-def _vstack(top: ExactMatrix, bottom: ExactMatrix) -> ExactMatrix:
-    assert top.cols == bottom.cols
-    entries = dict(top.entries)
-    for (i, j), value in bottom.entries.items():
-        entries[(i + top.rows, j)] = value
-    return ExactMatrix(top.rows + bottom.rows, top.cols, entries)
 
 
 def test_mayer_vietoris_middle_exactness():
@@ -559,15 +567,10 @@ def test_mayer_vietoris_middle_exactness():
             to_v = induced_map_matrix(x, union, v, k)
             from_u = induced_map_matrix(x, u, meet, k)
             from_v = induced_map_matrix(x, v, meet, k)
-            joint = _vstack(to_u, to_v)
-            difference = hstack(from_u, _negate(from_v))
+            joint = vstack(to_u, to_v)
+            difference = hstack(from_u, negate(from_v))
             assert (difference @ joint).is_zero()
             assert (bu + bv) - rank(difference) == rank(joint)
             checked += 1
     assert checked > 0
 
-
-def _negate(matrix: ExactMatrix) -> ExactMatrix:
-    return ExactMatrix(
-        matrix.rows, matrix.cols, {pos: -v for pos, v in matrix.entries.items()}
-    )

@@ -256,6 +256,23 @@ def hstack(left: ExactMatrix, right: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(left.rows, left.cols + right.cols, entries)
 
 
+def vstack(*blocks: ExactMatrix) -> ExactMatrix:
+    """The blocks stacked top to bottom; they must share a column count."""
+    if len({block.cols for block in blocks}) != 1:
+        raise ValueError("column counts differ")
+    entries = {}
+    offset = 0
+    for block in blocks:
+        for (i, j), v in block.entries.items():
+            entries[(i + offset, j)] = v
+        offset += block.rows
+    return ExactMatrix(offset, blocks[0].cols, entries)
+
+
+def negate(matrix: ExactMatrix) -> ExactMatrix:
+    return ExactMatrix(matrix.rows, matrix.cols, {pos: -v for pos, v in matrix.entries.items()})
+
+
 # -- queries only the tests make ---------------------------------------------
 
 
