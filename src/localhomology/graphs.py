@@ -227,7 +227,10 @@ def format_edge_list(graph: Graph) -> str:
     isolated vertex, so one raises `PreconditionError`. So does a label
     that `parse_edge_list` would not read back as itself: one whose text
     is empty, holds whitespace or `#`, starts with `n=`, or reads back by
-    `parse_label` as another value or type (`"1"`, `1.5`, `True`).
+    `parse_label` as another value or type (`"1"`, `1.5`, `True`). Edges go
+    in the order that reads back id k before k + 1 (edge (u, v), u < v, with
+    v; with u if v = u + 1 and u has no smaller neighbour), and a graph that
+    no order reads back so, such as labels ("c", "a") on one edge, raises.
     """
     if graph.labels != tuple(range(graph.n)):
         for v, neighbors in enumerate(graph.adjacency):
@@ -244,8 +247,15 @@ def format_edge_list(graph: Graph) -> str:
                 or back != label
             ):
                 raise PreconditionError(f"label {label!r} would not read back from an edge list")
-        lines = [f"{graph.labels[u]} {graph.labels[v]}" for u, v in graph.edges]
-        return "\n".join(lines) + "\n"
+
+        def place(edge: tuple[int, int]) -> tuple[int, int]:
+            u, v = edge
+            return (u, -1) if v == u + 1 and min(graph.adjacency[u]) > u else (v, u)
+
+        pairs = [(graph.labels[u], graph.labels[v]) for u, v in sorted(graph.edges, key=place)]
+        if intern_labels(pairs, MalformedInputError)[0] != graph.labels:
+            raise PreconditionError("the edge list would read back with its vertices in another order")
+        return "".join(f"{u} {v}\n" for u, v in pairs)
     lines = [f"n={graph.n}"]
     lines.extend(f"{u} {v}" for u, v in graph.edges)
     return "\n".join(lines) + "\n"

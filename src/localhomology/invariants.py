@@ -7,15 +7,20 @@ betweenness that `random_walk_betweenness` defines. Pearson correlation is
 invariant under positive affine rescaling, so these choices do not affect
 any correlation table.
 
-Shortest-path betweenness, vertex and edge, is Brandes' dependency
-accumulation kept exact in integers (Brandes, "A faster algorithm for
-betweenness centrality", J. Math. Sociol. 2001). Per source, with P the lcm
-of the shortest-path counts sigma, `_brandes_pass` sums
-c[w] = P / sigma[w] + acc[w] into acc[v] for each predecessor v of w, so
+Closeness and shortest-path betweenness, vertex and edge, come from one
+breadth-first pass per source, `_shortest_paths` (Brandes, "On variants of
+shortest-path betweenness centrality and their generic computation", Social
+Networks 2008). It sums the distances and, asked for dependencies, runs
+Brandes' accumulation kept exact in integers (Brandes, "A faster algorithm
+for betweenness centrality", J. Math. Sociol. 2001). Per source, with P the
+lcm of the shortest-path counts sigma, it sums c[w] = P / sigma[w] + acc[w]
+into acc[v] for each predecessor v of w, so
 P * delta[v] = sigma[v] * acc[v], and edge (v, w) carries
 sigma[v] * c[w] / P. The totals are kept over one common denominator D,
 the lcm of every source's P, so a source adds its terms times D / P
-(`_rescale`). Each score is one exact rational, a float only on output.
+(`_rescale`). Each score is one exact rational, rounded once to a float on
+output by `int` division.
+`correlation_table` takes all its shortest-path rows from one such pass.
 
 Random-walk betweenness takes every pair's edge currents from one grounded
 Laplacian inverse C (Brandes & Fleischer, "Centrality measures based on
@@ -28,9 +33,7 @@ in all. At a source or sink the potential is extremal and that sum counts
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from .errors import DisconnectedGraphError, PreconditionError
@@ -59,58 +62,8 @@ def degree_centrality(graph: Graph) -> VertexScores:
     )
 
 
-def _bfs_distances(graph: Graph, source: int) -> list[int]:
-    dist = [-1] * graph.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in graph.adjacency[u]:
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
-
-
 def closeness_centrality(graph: Graph) -> VertexScores:
-    if graph.n <= 1:
-        raise PreconditionError("closeness centrality needs at least two vertices")
-    if not graph.is_connected():
-        raise DisconnectedGraphError("closeness centrality requires a connected graph")
-    values = []
-    for v in range(graph.n):
-        total = sum(_bfs_distances(graph, v))
-        values.append((graph.n - 1) / total)
-    return VertexScores("closeness_centrality", tuple(values))
-
-
-def _brandes_pass(graph: Graph, source: int):
-    """BFS order, path counts sigma, predecessors, the scale P and the integer
-    dependencies acc from one source, as the module docstring defines them."""
-    sigma = [0] * graph.n
-    dist = [-1] * graph.n
-    preds: list[list[int]] = [[] for _ in range(graph.n)]
-    sigma[source] = 1
-    dist[source] = 0
-    order = []
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        for w in graph.adjacency[u]:
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-            if dist[w] == dist[u] + 1:
-                sigma[w] += sigma[u]
-                preds[w].append(u)
-    scale = lcm(*(sigma[w] for w in order))
-    acc = [0] * graph.n
-    for w in reversed(order):
-        c = scale // sigma[w] + acc[w]
-        for v in preds[w]:
-            acc[v] += c
-    return order, sigma, preds, scale, acc
+    return _path_scores(graph, closeness=True)["closeness_centrality"]
 
 
 def betweenness_vertex(graph: Graph) -> VertexScores:
@@ -119,39 +72,97 @@ def betweenness_vertex(graph: Graph) -> VertexScores:
     Each score is exact until it is output as a float; the module docstring
     gives the integer accumulation.
     """
-    totals = [0] * graph.n
-    common = 1
-    for source in range(graph.n):
-        order, sigma, _, scale, acc = _brandes_pass(graph, source)
-        common, factor = _rescale(totals, common, scale)
-        for w in order:
-            if acc[w] and w != source:
-                totals[w] += sigma[w] * acc[w] * factor
-    return VertexScores("betweenness_vertex", tuple(float(Fraction(t, 2 * common)) for t in totals))
+    return _path_scores(graph, vertex=True)["betweenness_vertex"]
 
 
 def betweenness_edge(graph: Graph) -> EdgeScores:
     """Edge form of `betweenness_vertex`, over the same common denominator."""
-    edges = list(graph.edges)
-    position = {edge: i for i, edge in enumerate(edges)}
-    totals = [0] * len(edges)
+    return _path_scores(graph, edge=True)["betweenness_edge"]
+
+
+def _path_scores(graph: Graph, *, closeness=False, vertex=False, edge=False) -> dict:
+    """The asked-for shortest-path scores by function name, from one `_shortest_paths` call."""
+    if closeness and graph.n <= 1:
+        raise PreconditionError("closeness centrality needs at least two vertices")
+    if closeness and not graph.is_connected():
+        raise DisconnectedGraphError("closeness centrality requires a connected graph")
+    sums, vertex_totals, edge_totals, common = _shortest_paths(graph, vertex or edge, edge)
+    scores = {}
+    if closeness:
+        scores["closeness_centrality"] = VertexScores("closeness_centrality", tuple((graph.n - 1) / s for s in sums))
+    if vertex:
+        scores["betweenness_vertex"] = VertexScores("betweenness_vertex", tuple(t / (2 * common) for t in vertex_totals))
+    if edge:
+        values = {e: t / (2 * common) for e, t in zip(graph.edges, edge_totals)}
+        scores["betweenness_edge"] = EdgeScores("betweenness_edge", values)
+    return scores
+
+
+def _shortest_paths(graph: Graph, dependencies: bool, edges: bool):
+    """Per-source distance sums; with `dependencies` also the vertex totals,
+    with `edges` the edge totals (else empty), and their denominator D."""
+    n = graph.n
+    adjacency = graph.adjacency
+    sums = [0] * n
+    vertex_totals = [0] * n
+    edge_totals = [0] * len(graph.edges) if edges else []
+    slot: list[dict[int, int]] = [{} for _ in range(n)]  # slot[w][v]: position of edge {v, w}
+    for i, (u, v) in enumerate(graph.edges if edges else ()):
+        slot[u][v] = slot[v][u] = i
     common = 1
-    for source in range(graph.n):
-        order, sigma, preds, scale, acc = _brandes_pass(graph, source)
-        common, factor = _rescale(totals, common, scale)
-        for w in order:
-            c = (scale // sigma[w] + acc[w]) * factor
+    for source in range(n):
+        dist = [-1] * n
+        dist[source] = 0
+        order = [source]  # the queue, read while it grows
+        if not dependencies:
+            for u in order:
+                du = dist[u] + 1
+                for w in adjacency[u]:
+                    if dist[w] < 0:
+                        dist[w] = du
+                        order.append(w)
+            sums[source] = sum(dist) + n - len(order)  # each unreached vertex holds -1
+            continue
+        sigma = [0] * n
+        sigma[source] = 1
+        preds: list = [None] * n
+        for u in order:
+            du = dist[u] + 1
+            su = sigma[u]
+            for w in adjacency[u]:
+                dw = dist[w]
+                if dw < 0:
+                    dist[w] = du
+                    order.append(w)
+                    sigma[w] = su
+                    preds[w] = [u]
+                elif dw == du:
+                    sigma[w] += su
+                    preds[w].append(u)
+        sums[source] = sum(dist) + n - len(order)
+        scale = lcm(*(set(sigma) - {0}))  # 0 marks an unreached vertex
+        common, factor = _rescale(common, scale, vertex_totals, edge_totals)
+        acc = [0] * n
+        for w in order[:0:-1]:  # farthest first; the source has no predecessor and no score
+            a = acc[w]
+            vertex_totals[w] += sigma[w] * a * factor
+            c = scale // sigma[w] + a
             for v in preds[w]:
-                totals[position[(v, w) if v < w else (w, v)]] += sigma[v] * c
-    return EdgeScores("betweenness_edge", {e: float(Fraction(t, 2 * common)) for e, t in zip(edges, totals)})
+                acc[v] += c
+            if edges:
+                c *= factor
+                for v in preds[w]:
+                    edge_totals[slot[w][v]] += sigma[v] * c
+    return sums, vertex_totals, edge_totals, common
 
 
-def _rescale(totals: list[int], common: int, scale: int) -> tuple[int, int]:
-    """Bring totals over lcm(common, scale) in place; that lcm and its ratio to scale."""
+def _rescale(common: int, scale: int, *totals: list[int]) -> tuple[int, int]:
+    """Bring each totals list over lcm(common, scale) in place; that lcm and its ratio to scale."""
     grown = lcm(common, scale)
     if grown != common:
         up = grown // common
-        totals[:] = [t * up for t in totals]
+        for values in totals:
+            values[:] = [t * up for t in values]
     return grown, grown // scale
 
 
@@ -188,8 +199,12 @@ def random_walk_betweenness(graph: Graph) -> VertexScores:
 
 
 def maximal_clique_count(graph: Graph) -> VertexScores:
-    counts = [0] * graph.n
-    for clique in maximal_cliques(graph):
+    return _clique_counts(graph.n, maximal_cliques(graph))
+
+
+def _clique_counts(n: int, cliques) -> VertexScores:
+    counts = [0] * n
+    for clique in cliques:
         for v in clique:
             counts[v] += 1
     return VertexScores("maximal_cliques", tuple(float(c) for c in counts))

@@ -25,7 +25,9 @@ from .graphs import Graph, flag_complex, parse_edge_list
 from .invariants import (
     EdgeScores,
     VertexScores,
-    betweenness_edge,
+    _clique_counts,
+    _path_scores,
+    betweenness_edge,  # unused here; perfbench/tracing.py wraps this module name
     betweenness_vertex,
     clustering_scores,
     degree_centrality,
@@ -136,6 +138,9 @@ def correlation_table(
     0-simplex. For the edge subject, vertex invariants are aggregated by
     endpoint averaging and compared at the edge 1-simplices, and edge
     betweenness joins as a directly edge-valued row.
+
+    Rows are computed once per call and never cached; each equals its
+    function applied alone.
     """
     if subject not in ("vertex", "edge"):
         raise PreconditionError(f"unknown subject {subject!r}")
@@ -149,18 +154,18 @@ def correlation_table(
             "random-walk rows)"
         )
     complex = flag_complex(graph)
+    # Rows that share work, by VERTEX_INVARIANTS name: one shortest-path pass,
+    # and the maximal cliques the flag complex already holds.
+    shared = _path_scores(graph, closeness=True, vertex=True, edge=subject == "edge")
+    shared["maximal_clique_count"] = _clique_counts(graph.n, complex.maximal)
+    vertex_rows = [shared[fn.__name__] if fn.__name__ in shared else fn(graph) for fn in VERTEX_INVARIANTS]
     if subject == "vertex":
         seeds = [(v,) for v in range(graph.n)]
-        score_rows = [scores(graph) for scores in VERTEX_INVARIANTS]
-        row_values = {s.name: tuple(s.values) for s in score_rows}
+        row_values = {s.name: tuple(s.values) for s in vertex_rows}
     else:
-        seeds = [edge for edge in graph.edges]
-        score_rows = [edge_aggregate(scores(graph), graph) for scores in VERTEX_INVARIANTS]
-        direct = betweenness_edge(graph)
-        row_values = {
-            s.name: tuple(s.values[e] for e in graph.edges) for s in score_rows
-        }
-        row_values[direct.name] = tuple(direct.values[e] for e in graph.edges)
+        seeds = list(graph.edges)
+        edge_rows = [edge_aggregate(s, graph) for s in vertex_rows] + [shared["betweenness_edge"]]
+        row_values = {s.name: tuple(s.values[e] for e in seeds) for s in edge_rows}
 
     # Both seed lists above are already in lexicographic order, which is the
     # order profile_many returns; the score rows rely on that alignment.

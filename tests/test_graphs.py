@@ -323,6 +323,54 @@ def test_labeled_edge_list_refuses_a_label_it_cannot_read_back(label):
         format_edge_list(graph)
 
 
+def test_labeled_edge_list_refuses_a_graph_it_would_renumber():
+    # parse_edge_list interns the labels of one line in sorted order, so
+    # "c a" reads back as ("a", "c"): vertex 0 would become "a".
+    graph = Graph.from_edge_list([("b", "c"), ("a", "c")]).induced_subgraph([1, 2])
+    assert graph.labels == ("c", "a")
+    with pytest.raises(PreconditionError, match="another order"):
+        format_edge_list(graph)
+
+
+def round_trips(graph: Graph) -> bool:
+    back = parse_edge_list(format_edge_list(graph))
+    return (back.n, back.labels, back.edges) == (graph.n, graph.labels, graph.edges)
+
+
+def test_every_parsed_edge_list_round_trips():
+    # c and d are first read together and c has no smaller neighbour, so
+    # "c d" must be written before "a d", which sorted edges would not do.
+    graph = parse_edge_list("a b\nc d\na d\n")
+    assert format_edge_list(graph) == "a b\nc d\na d\n"
+    assert round_trips(karate_graph())
+    rng = random.Random(33)
+    for _ in range(300):
+        pool = [f"v{i}" for i in range(6)] + list(range(-2, 6))
+        lines = [" ".join(map(str, rng.sample(pool, 2))) for _ in range(rng.randint(1, 14))]
+        assert round_trips(parse_edge_list("\n".join(lines))), lines
+
+
+def test_labeled_induced_subgraphs_of_karate_round_trip_or_raise():
+    rng = random.Random(34)
+    karate = karate_graph()
+    outcomes = {"round trip": 0, "refused": 0}
+    for _ in range(400):
+        if rng.random() < 0.5:
+            vertices = rng.sample(range(karate.n), rng.randint(2, 12))
+        else:
+            v = rng.randrange(karate.n)
+            vertices = [v, *karate.adjacency[v]]
+        subgraph = karate.induced_subgraph(vertices)
+        try:
+            ok = round_trips(subgraph)
+        except PreconditionError:
+            outcomes["refused"] += 1
+            continue
+        assert ok, vertices
+        outcomes["round trip"] += 1
+    assert min(outcomes.values()) >= 20, outcomes
+
+
 def test_bool_vertex_ids_refused_when_count_declared():
     # True is an int to isinstance, but the edge list could not be read back;
     # (0, False) is no loop, though 0 == False.

@@ -14,7 +14,9 @@ from localhomology import (
     betweenness_vertex,
     clustering_scores,
     closeness_centrality,
+    correlation_table,
     degree_centrality,
+    edge_aggregate,
     karate_graph,
     maximal_clique_count,
     pearson,
@@ -27,6 +29,7 @@ from util import (
     oracle_betweenness,
     oracle_brandes_edge,
     oracle_brandes_vertex,
+    oracle_closeness,
     oracle_current_flow,
     oracle_current_flow_pairs,
     random_connected_graph,
@@ -174,6 +177,38 @@ def test_property_graphs_cover_the_hard_cases():
     )
     # Pendant vertices carry no current between other pairs: the endpoint term alone.
     assert sum(any(len(g.adjacency[v]) == 1 for v in range(g.n)) for g in connected) >= 10
+
+
+def test_closeness_equals_bfs_distance_oracle_and_networkx():
+    connected, disconnected = property_graphs()
+    for g in connected:
+        ours = closeness_centrality(g).values
+        assert ours == tuple(oracle_closeness(g)), g
+        theirs = nx.closeness_centrality(nx.Graph(list(g.edges)))
+        assert all(math.isclose(ours[v], theirs[v], rel_tol=1e-12) for v in range(g.n)), g
+    for g in disconnected:
+        with pytest.raises(DisconnectedGraphError):
+            closeness_centrality(g)
+
+
+@pytest.mark.parametrize("subject", ["vertex", "edge"])
+def test_correlation_rows_equal_each_invariant_alone(subject):
+    # The table shares one shortest-path pass between its closeness and
+    # betweenness rows and counts cliques from its flag complex; every row,
+    # the clique row included, must still be exactly what the public
+    # function gives by itself.
+    connected, _ = property_graphs()
+    # A table needs two subjects to correlate, and the one-edge graph has one edge.
+    for g in (g for g in connected if subject == "vertex" or g.edge_count >= 2):
+        values = correlation_table(g, subject=subject, m_max=0, k_max=1).invariant_values
+        alone = [fn(g) for fn in VERTEX_INVARIANTS]
+        if subject == "vertex":
+            expected = {s.name: s.values for s in alone}
+        else:
+            rows = [edge_aggregate(s, g) for s in alone] + [betweenness_edge(g)]
+            expected = {s.name: tuple(s.values[e] for e in g.edges) for s in rows}
+        assert values == expected, g
+        assert list(values) == list(expected)
 
 
 def test_betweenness_equals_rational_brandes_oracle():

@@ -523,6 +523,25 @@ def oracle_current_flow(graph: Graph) -> list[float]:
     return list(totals / (n * (n - 1) / 2.0))
 
 
+def bfs_distances(graph: Graph, source: int) -> list[int]:
+    """Hop distance from the source to every vertex, -1 where unreached, by a queue."""
+    dist = [-1] * graph.n
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in graph.adjacency[u]:
+            if dist[w] < 0:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def oracle_closeness(graph: Graph) -> list[float]:
+    """(n - 1) over each vertex's distance sum, one breadth-first search per vertex."""
+    return [(graph.n - 1) / sum(bfs_distances(graph, v)) for v in range(graph.n)]
+
+
 def oracle_brandes_vertex(graph: Graph) -> list[Fraction]:
     """Brandes dependency accumulation in exact rationals, one Fraction per edge step."""
     scores = [Fraction(0)] * graph.n
