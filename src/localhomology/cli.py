@@ -143,18 +143,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _split_items(text: str, what: str) -> list[str]:
+    items = text.split(",")
+    if not all(map(str.strip, items)):
+        raise MalformedInputError(f"bad {what} {text!r}")
+    return items
+
+
 def _parse_int_list(text: str, what: str) -> list[int]:
-    tokens = [t for t in text.split(",") if t != ""]
-    if not tokens or not all(map(_INTEGER.fullmatch, tokens)) or min(map(int, tokens)) < 0:
+    tokens = _split_items(text, f"{what} list")
+    if not all(map(_INTEGER.fullmatch, tokens)) or min(map(int, tokens)) < 0:
         raise MalformedInputError(f"bad {what} list {text!r}")
     return sorted({int(t) for t in tokens})
-
-
-def _parse_simplex_labels(text: str) -> list:
-    tokens = [t.strip() for t in text.split(",")]
-    if not tokens or any(t == "" for t in tokens):
-        raise MalformedInputError(f"bad simplex {text!r}")
-    return [parse_label(t) for t in tokens]
 
 
 def _stdout_or_file(text: str, path):
@@ -172,7 +172,7 @@ def _cmd_local(args):
         raise MalformedInputError("--m must be non-negative")
     targets = None
     if args.simplex is not None:
-        labels = _parse_simplex_labels(args.simplex)
+        labels = [parse_label(t.strip()) for t in _split_items(args.simplex, "simplex")]
         targets = [complex.simplex_with_labels(labels)]
     profiles = profile_many(complex, targets, m_max=args.m)
     return _stdout_or_file(profiles_to_csv(complex, profiles), args.csv)

@@ -538,26 +538,22 @@ class SimplexSet:
     def connected_components(self) -> int:
         """Components of the face-inclusion relation restricted to the set.
 
-        Each member is joined to every member below it, read from its closure
-        mask: all faces, not only facets, since the set need not be closed.
+        A mask sweep: from the lowest member not yet counted, add the members
+        in the star or closure of each face last added, until none is added.
         """
         index = self.complex._face_index()
-        mask = self._mask
-        parent = {i: i for i in _ascending(mask)}
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for i in parent:
-            root = find(i)
-            for j in _ascending(index.down_mask(i) & mask):
-                other = find(j)
-                if other != root:
-                    parent[other] = root
-        return len({find(i) for i in parent})
+        rest = self._mask
+        count = 0
+        while rest:
+            count += 1
+            added = rest & -rest
+            while added:
+                rest ^= added
+                reached = 0
+                for i in _ascending(added):
+                    reached |= index.star_mask(i) | index.down_mask(i)
+                added = reached & rest
+        return count
 
 
 # -- JSON interchange ------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Sequence
 
-from .analysis import profile_many
+from .analysis import _require_level, profile_many
 from .errors import DisconnectedGraphError, PreconditionError
 from .graphs import Graph, flag_complex, parse_edge_list
 from .invariants import (
@@ -146,8 +146,9 @@ def correlation_table(
         raise PreconditionError(f"unknown subject {subject!r}")
     if type(k_max) is not int or k_max < 1:
         raise ValueError(f"largest homology degree must be at least 1 and an int, not {k_max!r}")
-    if type(m_max) is not int or m_max < 0:
-        raise ValueError(f"neighborhood level must be non-negative and an int, not {m_max!r}")
+    _require_level(m_max)
+    if graph.n < 2:
+        raise PreconditionError("correlation table needs at least two vertices")
     if not graph.is_connected():
         raise DisconnectedGraphError(
             "correlation table requires a connected graph (closeness and "

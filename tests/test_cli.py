@@ -368,6 +368,26 @@ def test_integer_options_are_ascii_digits_only(command, value, tetra_json, capsy
     assert err.splitlines()[-1].startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["1,,2", ",1", "1,", "1, ,2"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        "correlate --dataset karate --k 1 --m",
+        "correlate --dataset karate --m 0 --k",
+        "local TETRA --simplex",
+    ],
+)
+def test_comma_lists_refuse_an_empty_item(command, value, tetra_json, capsys):
+    # Level, degree and simplex lists share one split: an empty or blank
+    # item is an error, never skipped.
+    argv = [tetra_json if token == "TETRA" else token for token in command.split()]
+    code, out, err = run(capsys, *argv, value)
+    assert code == 1
+    assert out == ""
+    assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "value, code",
     [

@@ -21,6 +21,7 @@ from localhomology import (
     local_betti,
     local_betti_at,
     local_profile,
+    planar_grid_graph,
     profile_many,
     relative_chain_complex,
 )
@@ -534,6 +535,19 @@ def test_connected_components_match_pairwise_oracle():
     assert not_closed >= 100
     skip = SimplicialComplex.from_maximal([[0, 1, 2], [3]])
     assert skip.simplex_set([(0,), (0, 1, 2), (3,)]).connected_components() == 2
+    # Flag complexes of seeded graphs: a face's star complement, the set
+    # whose components criterion 3 counts, along with open sets (stars,
+    # unions of them), closed sets (closures, frontiers) and the face alone.
+    graphs = [erdos_renyi_graph(14, rng.randint(13, 40), seed) for seed in range(4)]
+    graphs += [planar_grid_graph(w, h, 0.5, seed) for seed, (w, h) in enumerate([(3, 3), (4, 3), (4, 4)])]
+    for graph in graphs:
+        x = flag_complex(graph)
+        faces = sorted(x.all_faces())
+        for face in rng.sample(faces, 6):
+            star = x.star([face])
+            opened = star | x.star(rng.sample(faces, 2))
+            for subset in (star.complement(), star, opened, x.closure(star), x.frontier(opened), x.simplex_set([face])):
+                assert subset.connected_components() == naive_components(subset.members)
 
 
 def test_simplex_set_constructor_rejects_non_faces():

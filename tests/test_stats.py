@@ -215,6 +215,19 @@ def test_table_refuses_bad_degree_or_level_before_any_work(bounds, monkeypatch):
             correlation_table(graph, **bounds)
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_table_refuses_fewer_than_two_vertices_before_any_work(n, monkeypatch):
+    import localhomology.stats as stats_module
+
+    def no_work(graph):
+        raise AssertionError("flag complex built for a refused call")
+
+    monkeypatch.setattr(stats_module, "flag_complex", no_work)
+    for subject in ("vertex", "edge"):
+        with pytest.raises(PreconditionError, match="^correlation table needs at least two vertices"):
+            correlation_table(Graph(n, []), subject=subject)
+
+
 def test_zero_variance_cells_are_undefined_not_zero():
     # Every vertex of a complete graph has the same local picture, so the
     # Betti columns are constant and the cells must be undefined.
