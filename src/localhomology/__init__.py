@@ -9,6 +9,7 @@ of graph invariants against local Betti numbers on flag complexes.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
 from .complexes import (
     Simplex,
     SimplexSet,
@@ -93,4 +94,5 @@ from .stats import (
     planar_grid_graph,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The imports above also bind each submodule's name; `*` exports only the other public names.
+__all__ = [name for name, value in sorted(globals().items()) if not (name.startswith("_") or isinstance(value, _ModuleType))]

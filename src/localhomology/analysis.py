@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .complexes import Simplex, SimplexSet, SimplicialComplex
+from .errors import _require_count
 from .homology import (
     BettiVector,
     induced_map_rank,
@@ -18,8 +19,7 @@ RAMIFICATION = "ramification"
 
 
 def manifold_interior(n: int) -> str:
-    if type(n) is not int or n < 0:  # type(True) is bool
-        raise ValueError(f"manifold dimension must be non-negative and an int, not {n!r}")
+    _require_count(n, "manifold dimension")
     return f"manifold-interior({n})"
 
 
@@ -38,13 +38,8 @@ class NeighborhoodFiltration:
         return len(self.levels)
 
 
-def _require_level(m_max) -> None:
-    if type(m_max) is not int or m_max < 0:  # type(True) is bool
-        raise ValueError(f"neighborhood level must be non-negative and an int, not {m_max!r}")
-
-
 def neighborhood_filtration(complex: SimplicialComplex, seed, m_max: int) -> NeighborhoodFiltration:
-    _require_level(m_max)
+    _require_count(m_max, "neighborhood level")
     levels = [complex.star(seed)]
     for _ in range(m_max):
         levels.append(complex.star(complex.closure(levels[-1])))
@@ -103,10 +98,10 @@ def profile_many(
 
     Each classification is read against the complex dimension. A seed that
     is not a face raises `UnknownSimplexError`, also when it cannot be
-    ordered against the others. A level `m_max` that is not a non-negative
-    `int` raises `ValueError`, also when there are no seeds.
+    ordered against the others. `m_max` is checked also when there are no
+    seeds.
     """
-    _require_level(m_max)
+    _require_count(m_max, "neighborhood level")
     targets = list(complex.all_faces() if simplices is None else simplices)
     try:
         targets.sort()
@@ -156,8 +151,8 @@ def filtration_persistence(
     larger neighborhood to the smaller); the final entry has no outgoing
     map and records None.
     """
-    if type(k) is not int or type(m_max) is not int or k < 0 or m_max < 0:
-        raise ValueError(f"homology dimension {k!r} and neighborhood level {m_max!r} must be non-negative ints")
+    _require_count(k, "homology dimension")
+    _require_count(m_max, "neighborhood level")
     filtration = neighborhood_filtration(complex, [simplex], m_max + 1)
     out: list[tuple[int, Optional[int]]] = []
     for m in range(m_max + 1):

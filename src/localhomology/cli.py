@@ -57,6 +57,13 @@ def _integer(text: str) -> int:
     return int(text)
 
 
+def _count(text: str) -> int:
+    value = _integer(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return value
+
+
 # The integer rule with an optional ASCII fraction and exponent: float() alone
 # also reads "+0.5", "0_5", "nan", "inf" and "٠.٥".
 _DECIMAL = re.compile(r"-?[0-9]+(\.[0-9]+)?([eE]-?[0-9]+)?")
@@ -88,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_local = sub.add_parser("local", help="per-simplex local homology report")
     p_local.add_argument("complex", help="path to a complex JSON file")
-    p_local.add_argument("--m", type=_integer, default=0, help="largest neighborhood level")
+    p_local.add_argument("--m", type=_count, default=0, help="largest neighborhood level")
     p_local.add_argument(
         "--simplex",
         help="restrict to one simplex, comma-separated vertex labels (default: all)",
@@ -98,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_strat = sub.add_parser("strat", help="homology-manifold check and ramification list")
     p_strat.add_argument("complex", help="path to a complex JSON file")
-    p_strat.add_argument("--dim", type=_integer, required=True, help="expected manifold dimension")
+    p_strat.add_argument("--dim", type=_count, required=True, help="expected manifold dimension")
     p_strat.set_defaults(handler=_cmd_strat)
 
     p_flag = sub.add_parser("flag", help="flag complex of a graph, as complex JSON")
@@ -168,8 +175,6 @@ def _cmd_betti(args):
 
 def _cmd_local(args):
     complex = load_complex(args.complex)
-    if args.m < 0:
-        raise MalformedInputError("--m must be non-negative")
     targets = None
     if args.simplex is not None:
         labels = [parse_label(t.strip()) for t in _split_items(args.simplex, "simplex")]
@@ -180,8 +185,6 @@ def _cmd_local(args):
 
 def _cmd_strat(args):
     complex = load_complex(args.complex)
-    if args.dim < 0:
-        raise MalformedInputError("--dim must be non-negative")
     manifold, offenders = is_homology_n_manifold(complex, args.dim)
     payload = {
         "dimension": args.dim,

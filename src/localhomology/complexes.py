@@ -40,6 +40,7 @@ from .errors import (
     MalformedSimplexError,
     PreconditionError,
     UnknownSimplexError,
+    _require_count,
 )
 
 Simplex = tuple[int, ...]
@@ -137,8 +138,7 @@ class SimplicialComplex:
 
     def faces(self, k: int) -> tuple[Simplex, ...]:
         """All k-dimensional faces, each once, in lexicographic order."""
-        if type(k) is not int or k < 0:  # type(True) is bool
-            raise ValueError(f"dimension must be non-negative and an int, not {k!r}")
+        _require_count(k, "dimension")
         if k > self.dim:
             return ()
         index = self._face_index()
@@ -514,21 +514,15 @@ class SimplexSet:
     def __repr__(self) -> str:
         return f"SimplexSet(members={self.members!r})"
 
-    def _check_host(self, other: "SimplexSet") -> None:
-        if self.complex is not other.complex:
-            raise ValueError("simplex sets belong to different complexes")
-
     def __or__(self, other: "SimplexSet") -> "SimplexSet":
         if not isinstance(other, SimplexSet):
             return NotImplemented
-        self._check_host(other)
-        return SimplexSet._from_mask(self.complex, self._mask | other._mask)
+        return SimplexSet._from_mask(self.complex, self._mask | self.complex._coerce(other)._mask)
 
     def __and__(self, other: "SimplexSet") -> "SimplexSet":
         if not isinstance(other, SimplexSet):
             return NotImplemented
-        self._check_host(other)
-        return SimplexSet._from_mask(self.complex, self._mask & other._mask)
+        return SimplexSet._from_mask(self.complex, self._mask & self.complex._coerce(other)._mask)
 
     def complement(self) -> "SimplexSet":
         """X minus the set: closed when the set is known open, and open when it is known closed."""

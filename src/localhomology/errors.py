@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and its one check of a count argument.
 
 Two branches matter to callers: malformed input (bad files, bad simplex
 descriptions) versus precondition violations on otherwise well-formed data
@@ -41,3 +41,10 @@ class UnknownVertexError(PreconditionError):
 
 class DisconnectedGraphError(PreconditionError):
     """A connected graph is required but the input is disconnected."""
+
+
+def _require_count(value, what: str, least: int = 0) -> None:
+    """Refuse a count argument that is not an `int`, bools included, or is below `least`."""
+    if type(value) is not int or value < least:  # type(True) is bool
+        rule = "non-negative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{what} must be {rule} and an int, not {value!r}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .complexes import Simplex, SimplexSet, SimplicialComplex, _ascending
-from .errors import NotClosedError, NotOpenError, PreconditionError
+from .errors import NotClosedError, NotOpenError, PreconditionError, _require_count
 from .linalg import ExactMatrix, IncrementalRank, kernel_basis, rank, solve_in_image
 
 BettiVector = tuple[int, ...]
@@ -195,8 +195,7 @@ def induced_map_matrix(
     v = _require_open(complex, smaller)
     if v._mask & ~u._mask:
         raise PreconditionError("smaller open set must be contained in the larger one")
-    if type(k) is not int or k < 0:
-        raise ValueError(f"homology dimension must be non-negative and an int, not {k!r}")
+    _require_count(k, "homology dimension")
     if k > complex.dim:
         return ExactMatrix.zeros(0, 0)
     src = homology_basis(complex, u)

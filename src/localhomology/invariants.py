@@ -80,12 +80,18 @@ def betweenness_edge(graph: Graph) -> EdgeScores:
     return _path_scores(graph, edge=True)["betweenness_edge"]
 
 
+def _require_connected(graph: Graph, what: str) -> None:
+    """Refuse a graph with fewer than two vertices or more than one component."""
+    if graph.n <= 1:
+        raise PreconditionError(f"{what} needs at least two vertices")
+    if not graph.is_connected():
+        raise DisconnectedGraphError(f"{what} requires a connected graph")
+
+
 def _path_scores(graph: Graph, *, closeness=False, vertex=False, edge=False) -> dict:
     """The asked-for shortest-path scores by function name, from one `_shortest_paths` call."""
-    if closeness and graph.n <= 1:
-        raise PreconditionError("closeness centrality needs at least two vertices")
-    if closeness and not graph.is_connected():
-        raise DisconnectedGraphError("closeness centrality requires a connected graph")
+    if closeness:
+        _require_connected(graph, "closeness centrality")
     sums, vertex_totals, edge_totals, common = _shortest_paths(graph, vertex or edge, edge)
     scores = {}
     if closeness:
@@ -174,15 +180,11 @@ def random_walk_betweenness(graph: Graph) -> VertexScores:
     For every source-sink pair a unit current is injected and extracted; the
     throughput of an interior vertex is half the absolute current over its
     incident edges, endpoints count as one, and scores are averaged over all
-    unordered pairs. The module docstring gives the computation. A graph
-    with fewer than two vertices raises `PreconditionError`, and a
-    disconnected one `DisconnectedGraphError`.
+    unordered pairs. The module docstring gives the computation, and
+    `_require_connected` the graphs it refuses.
     """
+    _require_connected(graph, "random-walk betweenness")
     n = graph.n
-    if n <= 1:
-        raise PreconditionError("random-walk betweenness needs at least two vertices")
-    if not graph.is_connected():
-        raise DisconnectedGraphError("random-walk betweenness requires a connected graph")
     import numpy as np  # here, not at module level: importing the package must not load numpy
 
     tails, heads = np.array(graph.edges).T

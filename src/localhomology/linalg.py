@@ -47,6 +47,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
+from .errors import _require_count
+
 
 class ExactMatrix:
     """Sparse matrix with exact rational entries, stored by column.
@@ -208,13 +210,11 @@ def _vector(vector: Mapping[int, object], size: int | None = None) -> tuple[dict
 
 def _columns(rows: int, cols: int, columns: Iterable[tuple[int, Mapping[int, object]]]) -> tuple[dict[int, dict[int, Fraction | int]], bool]:
     """(column index, {row: value}) pairs in the stored form, by `_vector`'s
-    rule, and whether every stored value is an `int`.
-
-    Each dimension must be an `int` (not a bool) at least 0, and each column
-    index an `int` in range(cols).
+    rule, and whether every stored value is an `int`. Each column index
+    must be an `int` in range(cols).
     """
-    if type(rows) is not int or type(cols) is not int or rows < 0 or cols < 0:
-        raise ValueError(f"matrix dimensions {rows!r}x{cols!r} are not non-negative ints")
+    _require_count(rows, "matrix rows")
+    _require_count(cols, "matrix cols")
     stored = {}
     integral = True
     for j, raw in columns:

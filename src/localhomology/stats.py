@@ -19,14 +19,15 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Sequence
 
-from .analysis import _require_level, profile_many
-from .errors import DisconnectedGraphError, PreconditionError
+from .analysis import profile_many
+from .errors import PreconditionError, _require_count
 from .graphs import Graph, flag_complex, parse_edge_list
 from .invariants import (
     EdgeScores,
     VertexScores,
     _clique_counts,
     _path_scores,
+    _require_connected,
     betweenness_edge,  # unused here; perfbench/tracing.py wraps this module name
     betweenness_vertex,
     clustering_scores,
@@ -81,19 +82,33 @@ class CorrelationReport:
 
     Cells are keyed by (invariant name, homology degree k, neighborhood
     level m); a None cell means the correlation was undefined because one
-    column had no variance. `notes` carries observations about the Betti
-    columns themselves (such as whether the level-0 and level-1 columns
-    coincide).
+    column had no variance. `invariants` and `notes` are read from the
+    other fields, so a report narrowed by `dataclasses.replace` describes
+    only what it keeps.
     """
 
     subject: str
-    invariants: tuple[str, ...]
     degrees: tuple[int, ...]
     levels: tuple[int, ...]
     cells: dict[tuple[str, int, int], Optional[float]]
     betti_columns: dict[tuple[int, int], tuple[int, ...]]
     invariant_values: dict[str, tuple[float, ...]]
-    notes: tuple[str, ...]
+
+    @property
+    def invariants(self) -> tuple[str, ...]:
+        return tuple(self.invariant_values)
+
+    @property
+    def notes(self) -> tuple[str, ...]:
+        """Per degree, whether its level-0 and level-1 Betti columns coincide; none without both levels."""
+        if not {0, 1} <= set(self.levels):
+            return ()
+        return tuple(
+            f"beta_{k} columns at neighborhood levels 0 and 1 are "
+            f"{'identical' if self.betti_columns[(k, 0)] == self.betti_columns[(k, 1)] else 'different'} "
+            f"under the star-closure recurrence"
+            for k in self.degrees
+        )
 
     def cell(self, invariant: str, k: int, m: int) -> Optional[float]:
         return self.cells[(invariant, k, m)]
@@ -144,16 +159,10 @@ def correlation_table(
     """
     if subject not in ("vertex", "edge"):
         raise PreconditionError(f"unknown subject {subject!r}")
-    if type(k_max) is not int or k_max < 1:
-        raise ValueError(f"largest homology degree must be at least 1 and an int, not {k_max!r}")
-    _require_level(m_max)
-    if graph.n < 2:
-        raise PreconditionError("correlation table needs at least two vertices")
-    if not graph.is_connected():
-        raise DisconnectedGraphError(
-            "correlation table requires a connected graph (closeness and "
-            "random-walk rows)"
-        )
+    _require_count(k_max, "largest homology degree", least=1)
+    _require_count(m_max, "neighborhood level")
+    # The closeness and random-walk rows need this; checked before any work.
+    _require_connected(graph, "correlation table")
     complex = flag_complex(graph)
     # Rows that share work, by VERTEX_INVARIANTS name: one shortest-path pass,
     # and the maximal cliques the flag complex already holds.
@@ -182,32 +191,20 @@ def correlation_table(
             )
 
     cells: dict[tuple[str, int, int], Optional[float]] = {}
-    names = tuple(row_values)
-    for name in names:
+    for name in row_values:
         for k in degrees:
             for m in levels:
                 cells[(name, k, m)] = pearson(
                     row_values[name], [float(b) for b in betti_columns[(k, m)]]
                 )
 
-    notes = []
-    if m_max >= 1:
-        for k in degrees:
-            same = betti_columns[(k, 0)] == betti_columns[(k, 1)]
-            status = "identical" if same else "different"
-            notes.append(
-                f"beta_{k} columns at neighborhood levels 0 and 1 are {status} "
-                f"under the star-closure recurrence"
-            )
     return CorrelationReport(
         subject=subject,
-        invariants=names,
         degrees=degrees,
         levels=levels,
         cells=cells,
         betti_columns=betti_columns,
         invariant_values=row_values,
-        notes=tuple(notes),
     )
 
 

@@ -1,17 +1,22 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from localhomology import (
+    ExactMatrix,
     SimplicialComplex,
     UnknownSimplexError,
     classify,
+    correlation_table,
     filtration_persistence,
     flag_complex,
     generalized_degree,
     global_betti,
+    induced_map_matrix,
     is_homology_n_manifold,
+    karate_graph,
     local_betti,
     local_betti_at,
     local_profile,
@@ -130,6 +135,37 @@ def test_level_or_degree_that_is_not_an_int_refused(call):
     x = SimplicialComplex.from_maximal([[0, 1, 2], [2, 3]])
     with pytest.raises(ValueError, match="must be non-negative"):
         call(x)
+
+
+SPHERE = tetrahedron_boundary()
+VERTEX_STAR = SPHERE.star([(0,)])
+COUNT_ARGUMENTS = {
+    # id: (call taking the value, the name its message gives, least value)
+    "manifold_interior": (manifold_interior, "manifold dimension", 0),
+    "faces": (SPHERE.faces, "dimension", 0),
+    "neighborhood_filtration": (lambda v: neighborhood_filtration(SPHERE, [(0,)], v), "neighborhood level", 0),
+    "profile_many": (lambda v: profile_many(SPHERE, m_max=v), "neighborhood level", 0),
+    "local_profile": (lambda v: local_profile(SPHERE, (0,), v), "neighborhood level", 0),
+    "persistence_k": (lambda v: filtration_persistence(SPHERE, (0,), v, 1), "homology dimension", 0),
+    "persistence_m_max": (lambda v: filtration_persistence(SPHERE, (0,), 1, v), "neighborhood level", 0),
+    "induced_map_matrix": (lambda v: induced_map_matrix(SPHERE, VERTEX_STAR, VERTEX_STAR, v), "homology dimension", 0),
+    "table_m_max": (lambda v: correlation_table(karate_graph(), m_max=v), "neighborhood level", 0),
+    "table_k_max": (lambda v: correlation_table(karate_graph(), k_max=v), "largest homology degree", 1),
+    "matrix_rows": (lambda v: ExactMatrix(v, 2), "matrix rows", 0),
+    "matrix_cols": (lambda v: ExactMatrix(2, v), "matrix cols", 0),
+    "zeros_rows": (lambda v: ExactMatrix.zeros(v, 2), "matrix rows", 0),
+    "from_columns_rows": (lambda v: ExactMatrix.from_columns([{0: 1}], v), "matrix rows", 0),
+}
+
+
+@pytest.mark.parametrize("value", [-1, True, 1.0], ids=["negative", "bool", "float_one"])
+@pytest.mark.parametrize("site", sorted(COUNT_ARGUMENTS))
+def test_every_count_argument_refuses_negatives_bools_and_floats(site, value):
+    # One rule and one message: a count is an int, not a bool, at least its least value.
+    call, what, least = COUNT_ARGUMENTS[site]
+    rule = "non-negative" if least == 0 else f"at least {least}"
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{what} must be {rule} and an int, not {value!r}')}$"):
+        call(value)
 
 
 # -- profiles ----------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -59,6 +60,15 @@ def test_import_loads_no_numpy():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_star_import_binds_every_public_name_and_no_submodule():
+    namespace = {}
+    exec("from localhomology import *", namespace)
+    public = {name for name in vars(localhomology) if not name.startswith("_")}
+    modules = {name for name in public if isinstance(getattr(localhomology, name), types.ModuleType)}
+    assert {"analysis", "linalg", "stats"} <= modules
+    assert {name for name in namespace if not name.startswith("_")} == public - modules
 
 
 def test_betti_command(tetra_json, capsys):
@@ -134,6 +144,31 @@ def test_correlate_karate_contains_reference_cell(capsys):
     row = next(line for line in lines if line.startswith("degree_centrality,1,0,"))
     rho = float(row.split(",")[-1])
     assert abs(rho - 0.700) < 0.01
+
+
+KARATE_NOTES = [
+    f"note: beta_{k} columns at neighborhood levels 0 and 1 are different under the star-closure recurrence"
+    for k in (1, 2)
+]
+
+
+@pytest.mark.parametrize(
+    "options, notes",
+    [
+        ("", KARATE_NOTES),
+        ("--subject edge", KARATE_NOTES),
+        ("--k 2", KARATE_NOTES[1:]),
+        ("--k 2 --m 2", []),
+        ("--m 1,2", []),
+    ],
+    ids=["defaults", "edge", "k2", "k2-m2", "m1-2"],
+)
+def test_correlate_notes_describe_the_printed_columns(options, notes, capsys):
+    # The defaults print both notes; a selection without levels 0 and 1, or
+    # without a degree, prints no note about it.
+    code, out, err = run(capsys, "correlate", "--dataset", "karate", *options.split())
+    assert code == 0 and out
+    assert err.splitlines() == notes
 
 
 def test_correlate_needs_exactly_one_source(capsys):
@@ -366,6 +401,17 @@ def test_integer_options_are_ascii_digits_only(command, value, tetra_json, capsy
     assert code == 1
     assert out == ""
     assert err.splitlines()[-1].startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["local TETRA --m", "strat TETRA --dim"])
+def test_negative_counts_are_refused(command, tetra_json, capsys):
+    # The option's type refuses the value, as for every other integer option.
+    argv = [tetra_json if token == "TETRA" else token for token in command.split()]
+    code, out, err = run(capsys, *argv, "-1")
+    assert code == 1
+    assert out == ""
+    assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("value", ["1,,2", ",1", "1,", "1, ,2"])

@@ -871,7 +871,7 @@ def test_set_operators_refuse_foreign_operands():
                 combine(s, other)
             with pytest.raises(TypeError):
                 combine(other, s)
-        with pytest.raises(ValueError, match="different complexes"):
+        with pytest.raises(ValueError, match="^simplex set belongs to a different complex$"):
             combine(s, y.full_set())
 
 

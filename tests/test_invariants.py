@@ -92,6 +92,25 @@ def test_closeness_disconnected_rejected():
         closeness_centrality(Graph.from_edge_list([(0, 1), (2, 3)]))
 
 
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (closeness_centrality, "closeness centrality"),
+        (random_walk_betweenness, "random-walk betweenness"),
+        (correlation_table, "correlation table"),
+    ],
+    ids=["closeness", "random_walk", "correlation_table"],
+)
+def test_connected_graph_rule(call, what):
+    # One rule and one message per case; degree centrality alone takes disconnected graphs.
+    with pytest.raises(PreconditionError, match=f"^{what} needs at least two vertices$") as caught:
+        call(Graph(1, []))
+    assert not isinstance(caught.value, DisconnectedGraphError)
+    with pytest.raises(DisconnectedGraphError, match=f"^{what} requires a connected graph$"):
+        call(Graph.from_edge_list([(0, 1), (2, 3)]))
+    assert degree_centrality(Graph.from_edge_list([(0, 1), (2, 3)])).values == (1 / 3,) * 4
+
+
 # -- shortest-path betweenness -----------------------------------------------
 
 

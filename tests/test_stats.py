@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -271,6 +272,16 @@ def test_edge_table_on_karate_level0_degree_row():
 def test_table_notes_record_level_column_comparison():
     report = correlation_table(karate_graph(), subject="vertex", m_max=1, k_max=1)
     assert any("levels 0 and 1" in note for note in report.notes)
+    # The notes and the row names are read from the columns the report
+    # holds, so a report narrowed by dataclasses.replace describes only those.
+    report = correlation_table(karate_graph(), m_max=2, k_max=2)
+    assert [note.split()[0] for note in report.notes] == ["beta_1", "beta_2"]
+    assert dataclasses.replace(report, degrees=(2,)).notes == report.notes[1:]
+    for levels in [(0,), (1, 2), (0, 2), (2,)]:
+        assert dataclasses.replace(report, levels=levels).notes == ()
+    assert dataclasses.replace(report, levels=(1, 0)).notes == report.notes
+    assert correlation_table(karate_graph(), m_max=0, k_max=2).notes == ()
+    assert report.invariants == tuple(report.invariant_values)
 
 
 def test_scatter_csv():
